@@ -16,8 +16,8 @@ Usage::
     python -m repro trace summarize RUN/trace.jsonl  # inspect a trace
     python -m repro corpus run --variants 12       # scenario-matrix corpus
 
-Every experiment accepts ``--workers/--shards`` (parallel throughput
-knobs; findings are byte-identical at any count) and
+Every experiment accepts ``--shards`` (the one parallel throughput
+knob; findings are byte-identical at any shard count) and
 ``--search-order/--max-paths`` (exploration policy overrides).
 
 Crash safety: ``--cache-dir DIR`` persists the canonical query cache
@@ -56,7 +56,7 @@ import sys
 from repro.bench.tables import format_table
 
 
-def _run_toy(workers: int = 1, shards: int = 1,
+def _run_toy(shards: int = 1,
              search_order: str | None = None,
              max_paths: int | None = None,
              transport: str = "local", hosts: tuple = (),
@@ -76,7 +76,6 @@ def _run_toy(workers: int = 1, shards: int = 1,
                                      search_order, max_paths),
                                  server_engine=make_engine_config(
                                      search_order, max_paths),
-                                 workers=workers,
                                  shards=shards,
                                  transport=transport,
                                  hosts=tuple(hosts),
@@ -98,7 +97,7 @@ def _run_toy(workers: int = 1, shards: int = 1,
     return 0
 
 
-def _run_fsp(workers: int = 1, shards: int = 1,
+def _run_fsp(shards: int = 1,
              search_order: str | None = None,
              max_paths: int | None = None,
              transport: str = "local", hosts: tuple = (),
@@ -111,7 +110,7 @@ def _run_fsp(workers: int = 1, shards: int = 1,
              progress: bool = False) -> int:
     from repro.bench.experiments import run_fsp_accuracy
 
-    outcome = run_fsp_accuracy(workers=workers, shards=shards,
+    outcome = run_fsp_accuracy(shards=shards,
                                search_order=search_order,
                                max_paths=max_paths,
                                transport=transport, hosts=hosts,
@@ -132,7 +131,7 @@ def _run_fsp(workers: int = 1, shards: int = 1,
     return 0 if outcome.false_positives == 0 else 1
 
 
-def _run_fsp_wildcard(workers: int = 1, shards: int = 1,
+def _run_fsp_wildcard(shards: int = 1,
                       search_order: str | None = None,
                       max_paths: int | None = None,
                       transport: str = "local", hosts: tuple = (),
@@ -141,12 +140,12 @@ def _run_fsp_wildcard(workers: int = 1, shards: int = 1,
                       run_dir: str | None = None,
                       checkpoint_interval: int = 1,
                       resume: bool = False,
-             trace_dir: str | None = None,
-             progress: bool = False) -> int:
+                      trace_dir: str | None = None,
+                      progress: bool = False) -> int:
     from repro.bench.experiments import run_fsp_wildcard
     from repro.systems.fsp import FSP_LAYOUT
 
-    report = run_fsp_wildcard(workers=workers, shards=shards,
+    report = run_fsp_wildcard(shards=shards,
                               search_order=search_order, max_paths=max_paths,
                               transport=transport, hosts=hosts,
                               on_worker_loss=on_worker_loss,
@@ -166,7 +165,7 @@ def _run_fsp_wildcard(workers: int = 1, shards: int = 1,
     return 0 if wildcard else 1
 
 
-def _run_pbft(workers: int = 1, shards: int = 1,
+def _run_pbft(shards: int = 1,
               search_order: str | None = None,
               max_paths: int | None = None,
               transport: str = "local", hosts: tuple = (),
@@ -175,11 +174,11 @@ def _run_pbft(workers: int = 1, shards: int = 1,
               run_dir: str | None = None,
               checkpoint_interval: int = 1,
               resume: bool = False,
-             trace_dir: str | None = None,
-             progress: bool = False) -> int:
+              trace_dir: str | None = None,
+              progress: bool = False) -> int:
     from repro.bench.experiments import run_pbft_impact
 
-    outcome = run_pbft_impact(workers=workers, shards=shards,
+    outcome = run_pbft_impact(shards=shards,
                               search_order=search_order, max_paths=max_paths,
                               transport=transport, hosts=hosts,
                               on_worker_loss=on_worker_loss,
@@ -212,7 +211,7 @@ def _accuracy_table(title: str, outcome, classes_total: int) -> None:
         title=title))
 
 
-def _run_raft(workers: int = 1, shards: int = 1,
+def _run_raft(shards: int = 1,
               search_order: str | None = None,
               max_paths: int | None = None,
               transport: str = "local", hosts: tuple = (),
@@ -221,12 +220,12 @@ def _run_raft(workers: int = 1, shards: int = 1,
               run_dir: str | None = None,
               checkpoint_interval: int = 1,
               resume: bool = False,
-             trace_dir: str | None = None,
-             progress: bool = False) -> int:
+              trace_dir: str | None = None,
+              progress: bool = False) -> int:
     from repro.bench.experiments import run_raft_accuracy
     from repro.systems.raft import all_trojan_classes, classify_message
 
-    outcome = run_raft_accuracy(workers=workers, shards=shards,
+    outcome = run_raft_accuracy(shards=shards,
                                 search_order=search_order,
                                 max_paths=max_paths,
                                 transport=transport, hosts=hosts,
@@ -244,7 +243,7 @@ def _run_raft(workers: int = 1, shards: int = 1,
     return 0 if outcome.precision == 1.0 and outcome.recall == 1.0 else 1
 
 
-def _run_tpc(workers: int = 1, shards: int = 1,
+def _run_tpc(shards: int = 1,
              search_order: str | None = None,
              max_paths: int | None = None,
              transport: str = "local", hosts: tuple = (),
@@ -258,7 +257,7 @@ def _run_tpc(workers: int = 1, shards: int = 1,
     from repro.bench.experiments import run_tpc_accuracy
     from repro.systems.tpc import all_trojan_classes, classify_message
 
-    outcome = run_tpc_accuracy(workers=workers, shards=shards,
+    outcome = run_tpc_accuracy(shards=shards,
                                search_order=search_order,
                                max_paths=max_paths,
                                transport=transport, hosts=hosts,
@@ -276,7 +275,7 @@ def _run_tpc(workers: int = 1, shards: int = 1,
     return 0 if outcome.precision == 1.0 and outcome.recall == 1.0 else 1
 
 
-def _run_broadcast(workers: int = 1, shards: int = 1,
+def _run_broadcast(shards: int = 1,
                    search_order: str | None = None,
                    max_paths: int | None = None,
                    transport: str = "local", hosts: tuple = (),
@@ -294,7 +293,7 @@ def _run_broadcast(workers: int = 1, shards: int = 1,
         run_forged_delivery_demo,
     )
 
-    outcome = run_broadcast_accuracy(workers=workers, shards=shards,
+    outcome = run_broadcast_accuracy(shards=shards,
                                      search_order=search_order,
                                      max_paths=max_paths,
                                      transport=transport, hosts=hosts,
@@ -517,8 +516,6 @@ def _run_corpus(argv: list[str]) -> int:
                         help="also write the deterministic JSON report "
                              "here (byte-identical across runs of the "
                              "same seed)")
-    parser.add_argument("--workers", type=int, default=1,
-                        help="solver-service worker processes per hunt")
     parser.add_argument("--shards", type=int, default=1,
                         help="exploration shard processes per hunt")
     parser.add_argument("--transport", choices=["local", "tcp"],
@@ -567,7 +564,7 @@ def _run_corpus(argv: list[str]) -> int:
         outcome = run_corpus(
             corpus_seed=args.corpus_seed, variants=args.variants,
             templates=templates or None, only=tuple(args.variant),
-            workers=args.workers, shards=args.shards,
+            shards=args.shards,
             search_order=args.search_order, max_paths=args.max_paths,
             transport=args.transport, hosts=hosts,
             on_worker_loss=args.on_worker_loss,
@@ -614,10 +611,6 @@ def main(argv: list[str] | None = None) -> int:
                              "worker daemon), 'cache' (disk-cache "
                              "maintenance), 'trace' (trace inspector), "
                              "or 'corpus' (scenario-matrix corpus)")
-    parser.add_argument("--workers", type=int, default=1,
-                        help="solver-service worker processes (default: 1, "
-                             "fully serial; findings are identical at any "
-                             "worker count)")
     parser.add_argument("--shards", type=int, default=1,
                         help="exploration shard processes for the server "
                              "search (default: 1, one in-process walk; "
@@ -702,14 +695,21 @@ def main(argv: list[str] | None = None) -> int:
         resume = True
     hosts = tuple(h.strip() for h in args.hosts.split(",") if h.strip())
     runner, _ = _EXPERIMENTS[args.experiment]
-    return runner(workers=args.workers, shards=args.shards,
-                  search_order=args.search_order, max_paths=args.max_paths,
-                  transport=args.transport, hosts=hosts,
-                  on_worker_loss=args.on_worker_loss,
-                  cache_dir=args.cache_dir, run_dir=run_dir,
-                  checkpoint_interval=args.checkpoint_interval,
-                  resume=resume, trace_dir=args.trace_dir,
-                  progress=args.progress)
+    from repro.errors import ReproError
+
+    try:
+        return runner(shards=args.shards,
+                      search_order=args.search_order,
+                      max_paths=args.max_paths,
+                      transport=args.transport, hosts=hosts,
+                      on_worker_loss=args.on_worker_loss,
+                      cache_dir=args.cache_dir, run_dir=run_dir,
+                      checkpoint_interval=args.checkpoint_interval,
+                      resume=resume, trace_dir=args.trace_dir,
+                      progress=args.progress)
+    except ReproError as exc:
+        print(f"{args.experiment} error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

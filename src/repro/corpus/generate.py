@@ -48,10 +48,14 @@ def generate_corpus(corpus_seed: int = 0, variants: int = 12,
 
     Args:
         corpus_seed: the run-level seed; everything derives from it.
-        variants: how many systems to generate.
+        variants: how many systems to generate (at least 1: an empty
+            corpus would score as a vacuous pass).
         templates: template subset to draw from, in the given order;
             defaults to every registered template.
     """
+    if variants < 1:
+        raise ReproError(
+            f"a corpus needs at least 1 variant, got {variants}")
     names = tuple(templates) if templates else tuple(TEMPLATES)
     if not names:
         raise ReproError("at least one template is required")

@@ -162,8 +162,8 @@ class ShardScheduler:
         setup_args: picklable arguments for ``setup``.
         shards: worker count (>= 1).
         engine: coordinator engine for the seed phase; defaults to a
-            fresh ``Engine(engine_config)``. Its query cache/service
-            wiring is used only above the frontier — workers build
+            fresh ``Engine(engine_config)``. Its query cache wiring is
+            used only above the frontier — workers build
             private engines from ``engine_config``.
         engine_config: exploration limits for workers (defaults to the
             coordinator engine's config). Note the ``max_paths`` cap
@@ -368,7 +368,6 @@ class ShardScheduler:
                 order=BFS)
         seed_delta = None
         if observer is not None:
-            observer.finalize()
             seed_delta = observer.delta()
             if seed_delta is None:
                 raise SymexError(

@@ -227,10 +227,7 @@ def run_assignment(engine: Engine, setup: ShardSetup, setup_args: tuple,
     engine.solver.stats = SolverStats()
     result = engine.explore(program, observer, roots=prefixes,
                             control=control)
-    delta = None
-    if observer is not None:
-        observer.finalize()
-        delta = observer.delta()
+    delta = observer.delta() if observer is not None else None
     return ShardOutcome(executed=result.executed, paths=result.paths,
                         stats=result.stats, solver_stats=engine.solver.stats,
                         delta=delta)

@@ -548,9 +548,6 @@ def serve_worker(listen: str, max_sessions: int | None = None,
     host, port = parse_hostport(listen)
     server = socket.create_server((host, port))
     actual_host, actual_port = server.getsockname()[:2]
-    stream = ready_stream or sys.stdout
-    print(f"READY {actual_host} {actual_port}", file=stream, flush=True)
-
     draining = threading.Event()
 
     def _start_drain(signum=None, frame=None):
@@ -566,6 +563,10 @@ def serve_worker(listen: str, max_sessions: int | None = None,
             signal_module.SIGTERM, _start_drain)
     except ValueError:  # pragma: no cover - not the main thread (tests)
         pass
+    # Only announce once the drain handler is in place: a supervisor may
+    # send SIGTERM the moment it reads READY.
+    stream = ready_stream or sys.stdout
+    print(f"READY {actual_host} {actual_port}", file=stream, flush=True)
 
     fork_ctx = (multiprocessing.get_context("fork")
                 if "fork" in multiprocessing.get_all_start_methods()

@@ -2,8 +2,8 @@
 
 The registry makes per-layer latency distributions and hit rates
 first-class: every solver layer (canonicalization, the canonical query
-cache, the incremental frame stack, the from-scratch fallback, the
-batch-dispatch service) feeds a histogram via the tracer's span exit,
+cache, the incremental frame stack, the from-scratch fallback) feeds a
+histogram via the tracer's span exit,
 and run-level counters/gauges are folded in at snapshot time.
 
 Like tracing, metrics are off unless activated; snapshots are plain

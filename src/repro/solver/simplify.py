@@ -101,10 +101,10 @@ def _arg_key(expr: Expr) -> tuple:
     propagation rules match against is preserved. Remaining ties are
     broken by a *structural* fingerprint — never by interning order or
     memory address — so the canonical form of a formula is identical in
-    every process. The parallel solver service relies on this: a worker
-    that re-interns a shipped query must canonicalize (and therefore
-    search) it exactly like the coordinating process, or model-producing
-    answers would depend on which worker ran them.
+    every process. Shard workers and the disk cache rely on this: a query
+    canonicalized in another process (a shipped cache snapshot, a
+    persisted record) must key exactly like the local one, or answers
+    computed elsewhere would never hit.
     """
     if expr.is_const:
         return (2, "", expr.params[0], str(expr.sort))

@@ -8,14 +8,6 @@ from repro.systems.toy import TOY_LAYOUT
 
 
 class TestParallelismValidation:
-    def test_rejects_zero_workers(self):
-        with pytest.raises(AchillesError, match="workers must be >= 1"):
-            AchillesConfig(layout=TOY_LAYOUT, workers=0)
-
-    def test_rejects_negative_workers(self):
-        with pytest.raises(AchillesError, match="workers must be >= 1"):
-            AchillesConfig(layout=TOY_LAYOUT, workers=-2)
-
     def test_rejects_zero_shards(self):
         with pytest.raises(AchillesError, match="shards must be >= 1"):
             AchillesConfig(layout=TOY_LAYOUT, shards=0)
@@ -26,12 +18,10 @@ class TestParallelismValidation:
 
     def test_serial_defaults_accepted(self):
         config = AchillesConfig(layout=TOY_LAYOUT)
-        assert config.workers == 1
         assert config.shards == 1
 
     def test_parallel_counts_accepted(self):
-        config = AchillesConfig(layout=TOY_LAYOUT, workers=4, shards=2)
-        assert config.workers == 4
+        config = AchillesConfig(layout=TOY_LAYOUT, shards=2)
         assert config.shards == 2
 
     def test_rejects_unknown_worker_loss_policy(self):

@@ -9,8 +9,15 @@ contract of the underlying pipeline.
 
 import pytest
 
+from repro.__main__ import main
 from repro.bench.experiments import _scored_accuracy_run, run_corpus
-from repro.corpus import bound_ground_truth, corpus_payload, dump_payload
+from repro.corpus import (
+    bound_ground_truth,
+    corpus_payload,
+    dump_payload,
+    generate_corpus,
+)
+from repro.errors import ReproError
 
 
 @pytest.fixture(scope="module")
@@ -73,7 +80,7 @@ class TestCorpusRun:
         sharded = _scored_accuracy_run(
             variant.layout, variant.destination, variant.clients,
             variant.server, bound_ground_truth(variant),
-            len(variant.classes), 1, 2, None, None)
+            len(variant.classes), 2, None, None)
         serial_findings = [
             (f.server_path_id, f.decisions, f.witness, f.labels)
             for f in result.outcome.report.findings]
@@ -81,3 +88,20 @@ class TestCorpusRun:
             (f.server_path_id, f.decisions, f.witness, f.labels)
             for f in sharded.report.findings]
         assert sharded_findings == serial_findings
+
+
+class TestEmptyCorpusRejected:
+    """A corpus that hunts nothing must not pass as ``perfect 0/0``."""
+
+    @pytest.mark.parametrize("variants", [0, -3])
+    def test_generator_rejects_fewer_than_one_variant(self, variants):
+        with pytest.raises(ReproError, match="at least 1 variant"):
+            generate_corpus(corpus_seed=0, variants=variants)
+
+    @pytest.mark.parametrize("variants", ["0", "-1"])
+    def test_cli_exits_2_on_an_empty_corpus(self, capsys, variants):
+        assert main(["corpus", "run", "--variants", variants]) == 2
+        captured = capsys.readouterr()
+        assert "corpus error: a corpus needs at least 1 variant" \
+            in captured.err
+        assert "perfect variants" not in captured.out

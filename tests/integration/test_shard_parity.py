@@ -1,7 +1,6 @@
 """Shard-parity: exploration shard count must never change what Achilles finds.
 
-Mirror of ``test_parallel_parity.py`` for the sharded exploration layer:
-the FSP, PBFT, Raft and two-phase-commit end-to-end analyses must
+The FSP, PBFT, Raft and two-phase-commit end-to-end analyses must
 produce *identical* findings (same order, same path ids, same witnesses,
 same live-predicate sets) at shards = 1, 2 and 4 — shards=1 being the
 plain in-process walk, so this also pins the sharded pipeline against
@@ -30,10 +29,10 @@ def _finding_signature(report):
     ]
 
 
-def _run_fsp(shards: int, workers: int = 1):
+def _run_fsp(shards: int):
     commands = dict(itertools.islice(fsp.COMMANDS.items(), 4))
     config = AchillesConfig(layout=fsp.FSP_LAYOUT, mask=FSP_SESSION_MASK,
-                            workers=workers, shards=shards)
+                            shards=shards)
     with Achilles(config) as achilles:
         predicates = achilles.extract_clients(fsp.literal_clients(commands))
         report = achilles.search(fsp.fsp_server, predicates)
@@ -49,28 +48,27 @@ def _run_pbft(shards: int):
     return report
 
 
-def _run_raft(shards: int, workers: int = 1):
+def _run_raft(shards: int):
     config = AchillesConfig(layout=raft.RAFT_LAYOUT, destination="follower",
-                            workers=workers, shards=shards)
+                            shards=shards)
     with Achilles(config) as achilles:
         predicates = achilles.extract_clients(raft.peer_clients())
         report = achilles.search(raft.raft_follower, predicates)
     return report
 
 
-def _run_tpc(shards: int, workers: int = 1):
+def _run_tpc(shards: int):
     config = AchillesConfig(layout=tpc.TPC_LAYOUT, destination="participant",
-                            workers=workers, shards=shards)
+                            shards=shards)
     with Achilles(config) as achilles:
         predicates = achilles.extract_clients(tpc.coordinator_clients())
         report = achilles.search(tpc.tpc_participant, predicates)
     return report
 
 
-def _run_broadcast(shards: int, workers: int = 1):
+def _run_broadcast(shards: int):
     config = AchillesConfig(layout=broadcast.BROADCAST_LAYOUT,
-                            destination="node",
-                            workers=workers, shards=shards)
+                            destination="node", shards=shards)
     with Achilles(config) as achilles:
         predicates = achilles.extract_clients(broadcast.peer_clients())
         report = achilles.search(broadcast.broadcast_node, predicates)
@@ -108,13 +106,6 @@ class TestFspShardParity:
         for shards in SHARD_COUNTS:
             assert fsp_runs[shards].shards == shards
 
-    def test_shards_compose_with_workers(self):
-        """Sharded exploration plus a parallel solver service for the
-        pre-processing batches: still byte-identical findings."""
-        baseline = _finding_signature(_run_fsp(1))
-        combined = _run_fsp(2, workers=2)
-        assert _finding_signature(combined) == baseline
-
 
 @pytest.fixture(scope="module")
 def raft_runs():
@@ -147,11 +138,6 @@ class TestRaftShardParity:
             for finding in raft_runs[shards].findings:
                 assert raft.classify_message(finding.witness) is not None
 
-    def test_shards_compose_with_workers(self):
-        baseline = _finding_signature(_run_raft(1))
-        combined = _run_raft(2, workers=2)
-        assert _finding_signature(combined) == baseline
-
 
 class TestTpcShardParity:
     def test_findings_identical_at_every_shard_count(self, tpc_runs):
@@ -165,11 +151,6 @@ class TestTpcShardParity:
         for shards in SHARD_COUNTS:
             for finding in tpc_runs[shards].findings:
                 assert tpc.classify_message(finding.witness) is not None
-
-    def test_shards_compose_with_workers(self):
-        baseline = _finding_signature(_run_tpc(1))
-        combined = _run_tpc(2, workers=2)
-        assert _finding_signature(combined) == baseline
 
 
 @pytest.fixture(scope="module")
@@ -198,11 +179,6 @@ class TestBroadcastShardParity:
             for finding in broadcast_runs[shards].findings:
                 assert broadcast.classify_message(finding.witness) \
                     is not None
-
-    def test_shards_compose_with_workers(self):
-        baseline = _finding_signature(_run_broadcast(1))
-        combined = _run_broadcast(2, workers=2)
-        assert _finding_signature(combined) == baseline
 
 
 class TestPbftShardParity:

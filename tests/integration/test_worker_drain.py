@@ -29,6 +29,7 @@ from repro.explore.tcp import (
     PROTOCOL_VERSION,
     FrameReader,
     send_frame,
+    serve_worker,
 )
 from repro.explore.shard import MSG_DONE
 from repro.explore.transport import WorkerSession
@@ -114,3 +115,33 @@ class TestSigtermDrain:
             if daemon.poll() is None:
                 daemon.kill()
                 daemon.wait()
+
+    def test_sigterm_right_after_ready_drains(self):
+        """READY is printed only once the drain handler is installed, so
+        a supervisor may stop the daemon the moment it reads the banner."""
+        daemon, _, _ = _spawn_daemon()
+        try:
+            daemon.send_signal(signal.SIGTERM)
+            assert daemon.wait(timeout=30) == 0, (
+                "daemon killed by a SIGTERM sent right after READY")
+        finally:
+            if daemon.poll() is None:
+                daemon.kill()
+                daemon.wait()
+
+    def test_drain_handler_installed_before_ready(self):
+        """The race above, pinned deterministically in-process: whoever
+        reads READY must already find the drain handler in place."""
+        handlers = []
+
+        class Banner:
+            def write(self, text):
+                handlers.append(signal.getsignal(signal.SIGTERM))
+
+            def flush(self):
+                pass
+
+        before = signal.getsignal(signal.SIGTERM)
+        serve_worker("127.0.0.1:0", max_sessions=0, ready_stream=Banner())
+        assert handlers and all(h is not before for h in handlers)
+        assert signal.getsignal(signal.SIGTERM) is before

@@ -1,25 +1,22 @@
-"""Tests for the batched solver service (serial + worker-pool backends).
+"""Tests for the batched solver service.
 
 The load-bearing properties:
 
 * **agreement** — every batched answer equals what a from-scratch
-  ``Solver().check`` returns for the same query, at any worker count;
-* **order** — results come back in input order regardless of chunking;
-* **stats** — per-worker counters merge deterministically, and
-  :class:`SolverStats` aggregation is a plain field-wise sum.
+  ``Solver().check`` returns for the same query;
+* **order** — results come back in input order;
+* **stats** — :class:`SolverStats` aggregation is a plain field-wise sum.
 """
 
 import random
 
 import pytest
 
-from repro.errors import SolverError
 from repro.solver import ast
 from repro.solver.ast import bv_const, bv_var, eq, ne
-from repro.solver.enumerate import iter_models
 from repro.solver.incremental import IncrementalSolver
 from repro.solver.interval import Interval
-from repro.solver.service import SolverService, _chunk
+from repro.solver.service import SolverService
 from repro.solver.solver import Solver, SolverStats
 
 X = bv_var("x", 8)
@@ -78,98 +75,10 @@ class TestSerialBackend:
         # not re-propagated.
         assert service.solver.stats.frames_reused > before
 
-    def test_iter_models_batch(self):
-        service = SolverService()
-        specs = [((ast.ult(X, bv_const(3, 8)),), (X,)),
-                 ((eq(Y, bv_const(7, 8)),), (Y,))]
-        models = service.iter_models_batch(specs)
-        assert [m[X] for m in models[0]] == [0, 1, 2]
-        assert [m[Y] for m in models[1]] == [7]
-
     def test_empty_batches(self):
         service = SolverService()
         assert service.check_batch([]) == []
         assert service.probe_batch((ast.ult(X, bv_const(4, 8)),), []) == []
-        assert service.iter_models_batch([]) == []
-
-    def test_invalid_worker_count(self):
-        with pytest.raises(SolverError):
-            SolverService(workers=0)
-
-
-@pytest.fixture(scope="module")
-def pool():
-    with SolverService(workers=2) as service:
-        yield service
-
-
-class TestPoolBackend:
-    def test_check_batch_matches_scratch(self, pool):
-        rng = random.Random(20140301)
-        queries = [_random_query(rng) for _ in range(24)]
-        results = pool.check_batch(queries)
-        for query, result in zip(queries, results):
-            scratch = Solver().check(list(query))
-            assert result.status == scratch.status, query
-            if result.is_sat:
-                # The model is complete and actually satisfies the query.
-                from repro.solver.evalmodel import all_hold
-                assert all_hold(list(query), dict(result.model))
-
-    def test_results_in_input_order(self, pool):
-        # Alternate sat/unsat so any chunk mixup flips an answer.
-        queries = []
-        for i in range(17):
-            if i % 2 == 0:
-                queries.append((eq(X, bv_const(i, 8)),))
-            else:
-                queries.append((eq(X, bv_const(i, 8)),
-                                ne(X, bv_const(i, 8))))
-        statuses = [r.is_sat for r in pool.check_batch(queries)]
-        assert statuses == [i % 2 == 0 for i in range(17)]
-
-    def test_probe_batch_matches_serial(self, pool):
-        serial = SolverService()
-        prefix = (ast.ult(X, bv_const(50, 8)), ast.ugt(Y, bv_const(5, 8)))
-        probes = [(eq(X, bv_const(v, 8)),) for v in (0, 49, 50, 120, 3)]
-        assert (pool.probe_batch(prefix, probes)
-                == serial.probe_batch(prefix, probes))
-
-    def test_iter_models_batch_matches_serial(self, pool):
-        specs = [((ast.ult(X, bv_const(4, 8)),), (X,)),
-                 ((ast.ult(Y, bv_const(2, 8)), ne(Y, bv_const(0, 8))), (Y,)),
-                 ((eq(Z, bv_const(9, 8)),), (Z,))]
-        expected = [list(iter_models(c, v)) for c, v in specs]
-        assert pool.iter_models_batch(specs) == expected
-
-    def test_worker_stats_merged_on_join(self, pool):
-        before = pool.stats.copy()
-        queries = [(eq(X, bv_const(i, 8)),) for i in range(8)]
-        pool.check_batch(queries)
-        delta = pool.stats.delta_since(before)
-        assert delta.queries == 8
-        assert delta.sat_answers == 8
-        assert delta.frames_pushed > 0
-
-    def test_models_never_served_from_canonical_cache(self, pool):
-        # Two canonically-equal but raw-distinct queries: each must get a
-        # model computed from its own stack, so witnesses cannot depend on
-        # which chunk (or worker) a query lands on.
-        q1 = (ast.ult(X, bv_const(10, 8)), eq(Y, bv_const(3, 8)))
-        q2 = (eq(Y, bv_const(3, 8)), ast.ult(X, bv_const(10, 8)))
-        r1, r2 = pool.check_batch([q1, q2])
-        assert r1.model == r2.model  # pure function of the constraint set
-
-
-class TestChunking:
-    def test_chunks_are_contiguous_and_cover(self):
-        items = list(range(11))
-        chunks = _chunk(items, 4)
-        assert [len(c) for c in chunks] == [3, 3, 3, 2]
-        assert [x for chunk in chunks for x in chunk] == items
-
-    def test_fewer_items_than_workers(self):
-        assert _chunk([1], 8) == [[1]]
 
 
 class TestSolverStatsAggregation:
@@ -196,13 +105,6 @@ class TestSolverStatsAggregation:
         for part in reversed(parts):
             backward += part
         assert forward == backward
-
-    def test_copy_is_independent(self):
-        stats = SolverStats(queries=4)
-        snapshot = stats.copy()
-        stats.queries += 10
-        assert snapshot.queries == 4
-        assert stats.delta_since(snapshot).queries == 10
 
     def test_hit_rate_zero_when_unused(self):
         assert SolverStats().cache_hit_rate == 0.0
@@ -238,97 +140,3 @@ class TestSeededFallback:
             result = inc.check(query)
             scratch = Solver().check(list(query))
             assert result.status == scratch.status, query
-
-
-class TestAsyncSubmit:
-    """submit_* futures: same answers as the blocking calls, stats folded
-    exactly once, and overlap-friendly single-item dispatch."""
-
-    def test_serial_submit_is_eagerly_complete(self):
-        service = SolverService()
-        future = service.submit_check_batch([(ast.ult(X, bv_const(4, 8)),)])
-        assert future.done
-        assert [r.status for r in future.result()] == ["sat"]
-
-    def test_pool_submit_matches_blocking_call(self, pool):
-        rng = random.Random(20140302)
-        queries = [_random_query(rng) for _ in range(16)]
-        future = pool.submit_check_batch(queries)
-        blocking = pool.check_batch(queries)
-        async_results = future.result()
-        assert [r.status for r in async_results] == \
-            [r.status for r in blocking]
-        assert [r.model for r in async_results] == \
-            [r.model for r in blocking]
-
-    def test_pool_submit_probe_matches_blocking_call(self, pool):
-        prefix = (ast.ult(X, bv_const(100, 8)),)
-        probes = [(eq(X, bv_const(v, 8)),) for v in (1, 99, 100, 200, 50)]
-        future = pool.submit_probe_batch(prefix, probes)
-        assert future.result() == pool.probe_batch(prefix, probes)
-
-    def test_single_item_parallel_submit_dispatches(self, pool):
-        """Async submit ships even a lone query to the pool — that is the
-        overlap the caller asked for."""
-        future = pool.submit_check_batch([(eq(X, bv_const(7, 8)),)])
-        result = future.result()
-        assert len(result) == 1 and result[0].is_sat
-        assert result[0].model[X] == 7
-
-    def test_stats_folded_exactly_once(self, pool):
-        before = pool.stats.copy()
-        future = pool.submit_check_batch(
-            [(eq(X, bv_const(v, 8)),) for v in range(8)])
-        future.result()
-        after_first = pool.stats.copy()
-        assert after_first.queries > before.queries
-        future.result()  # joining again must not re-fold the deltas
-        assert pool.stats.queries == after_first.queries
-
-    def test_interleaved_futures_resolve_in_any_order(self, pool):
-        first = pool.submit_check_batch(
-            [(eq(X, bv_const(v, 8)),) for v in (1, 2, 3)])
-        second = pool.submit_check_batch(
-            [(eq(Y, bv_const(v, 8)),) for v in (4, 5)])
-        # Join out of submit order: answers must still match their batch.
-        assert [r.model[Y] for r in second.result()] == [4, 5]
-        assert [r.model[X] for r in first.result()] == [1, 2, 3]
-
-
-class TestCloseReentrancy:
-    """close() must leave the service reusable (ISSUE 4 satellite)."""
-
-    def test_batches_work_again_after_close(self):
-        service = SolverService(workers=2)
-        queries = [(eq(X, bv_const(v, 8)),) for v in (3, 9, 250)]
-        try:
-            first = service.check_batch(queries)
-            service.close()
-            second = service.check_batch(queries)  # restarts the pool lazily
-            assert [r.status for r in first] == [r.status for r in second]
-            assert [r.model for r in first] == [r.model for r in second]
-        finally:
-            service.close()
-
-    def test_close_is_idempotent(self):
-        service = SolverService(workers=2)
-        service.check_batch([(eq(X, bv_const(1, 8)),),
-                             (eq(X, bv_const(2, 8)),)])
-        service.close()
-        service.close()
-
-    def test_stale_future_rejected_after_close(self):
-        service = SolverService(workers=2)
-        try:
-            future = service.submit_check_batch(
-                [(eq(X, bv_const(v, 8)),) for v in (1, 2)])
-            service.close()
-            with pytest.raises(SolverError, match="stale"):
-                future.result()
-        finally:
-            service.close()
-
-    def test_serial_service_close_is_noop(self):
-        service = SolverService()
-        service.close()
-        assert service.probe_batch((), [(eq(X, bv_const(5, 8)),)]) == [True]

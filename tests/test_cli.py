@@ -67,6 +67,28 @@ class TestPersistenceFlags:
         assert "resumed regions" in second
 
 
+class TestBadConfig:
+    """A rejected configuration is one stderr line and exit 2, not a
+    traceback."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["toy", "--shards", "0"], "shards must be >= 1"),
+        (["toy", "--checkpoint-interval", "0"],
+         "checkpoint_interval must be >= 1"),
+        (["toy", "--run-dir", "RUN"], "set shards >= 2"),
+    ])
+    def test_bad_config_exits_two(self, capsys, tmp_path, argv, message):
+        argv = [str(tmp_path / arg) if arg == "RUN" else arg
+                for arg in argv]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("toy error: ")
+        assert message in lines[0]
+        assert "Traceback" not in captured.err
+
+
 class TestCacheSubcommand:
     def _populate(self, tmp_path):
         cache_dir = tmp_path / "cache"
