@@ -55,6 +55,24 @@ class TestParallelismValidation:
             AchillesConfig(layout=TOY_LAYOUT, transport=LocalTransport(),
                            hosts=("127.0.0.1:9100",))
 
+    def test_unknown_transport_rejected(self):
+        with pytest.raises(AchillesError, match="transport must be"):
+            AchillesConfig(layout=TOY_LAYOUT, shards=2, transport="udp")
+
+    def test_tcp_transport_without_hosts_rejected(self):
+        with pytest.raises(AchillesError, match="needs hosts"):
+            AchillesConfig(layout=TOY_LAYOUT, shards=2, transport="tcp")
+
+    def test_hosts_without_tcp_transport_rejected(self):
+        with pytest.raises(AchillesError, match="only meaningful with"):
+            AchillesConfig(layout=TOY_LAYOUT, shards=2,
+                           hosts=("127.0.0.1:9100",))
+
+    def test_tcp_transport_with_hosts_accepted(self):
+        config = AchillesConfig(layout=TOY_LAYOUT, shards=2, transport="tcp",
+                                hosts=["127.0.0.1:9100"])
+        assert config.hosts == ("127.0.0.1:9100",)
+
     def test_persistence_knobs_accepted(self, tmp_path):
         run_dir = tmp_path / "run"
         run_dir.mkdir()
@@ -74,6 +92,12 @@ class TestParallelismValidation:
         not_a_dir.write_text("plain file")
         with pytest.raises(AchillesError, match="cache_dir points at a"):
             AchillesConfig(layout=TOY_LAYOUT, cache_dir=str(not_a_dir))
+
+    def test_trace_dir_pointing_at_file_rejected(self, tmp_path):
+        not_a_dir = tmp_path / "trace"
+        not_a_dir.write_text("plain file")
+        with pytest.raises(AchillesError, match="trace_dir points at a"):
+            AchillesConfig(layout=TOY_LAYOUT, trace_dir=str(not_a_dir))
 
     def test_run_dir_pointing_at_file_rejected(self, tmp_path):
         not_a_dir = tmp_path / "run"

@@ -218,6 +218,75 @@ def _battery():
     return queries
 
 
+def test_service_battery_agrees_with_scratch():
+    queries = _battery()
+    reference = [Solver().check(query) for query in queries]
+    results = SolverService().check_batch(queries)
+    assert [r.is_sat for r in results] == [r.is_sat for r in reference]
+    for query, result in zip(queries, results):
+        if result.is_sat:
+            assert all_hold(query, dict(result.model))
+
+
+def test_probe_battery_agrees_with_scratch():
+    """One probe batch per shared anchor prefix, as the pre-processing
+    loops pose them; the answers must match the scratch oracle."""
+    queries = _battery()
+    by_anchor: dict = {}
+    for query in queries:
+        by_anchor.setdefault(query[:1], []).append(query[1:])
+    assert len(by_anchor) == 2  # both anchors of the battery are present
+    service = SolverService()
+    for prefix, probes in by_anchor.items():
+        probed = service.probe_batch(prefix, probes)
+        assert probed == [Solver().is_satisfiable(list(prefix + probe))
+                          for probe in probes]
+
+
+def _model_battery():
+    """Fixed ``(constraints, variables)`` enumeration spaces.
+
+    Kept deliberately narrow (single-byte fields, tight bounds) so model
+    counts stay small; one unsat space pins the empty-list answer.
+    """
+    layout = MessageLayout("conf", [Field("f0", 1), Field("f1", 1)])
+    wire = message_vars(layout, "conf_msg")
+    f0 = field_expr(wire, layout.view("f0"))
+    f1 = field_expr(wire, layout.view("f1"))
+    specs = []
+    for bound in (1, 3, 6):
+        specs.append(((ast.ult(f0, bv_const(bound, 8)),), (f0,)))
+        specs.append(((ast.ult(f0, bv_const(bound, 8)),
+                       ast.eq(f1, bv_const(7, 8))), (f0, f1)))
+    specs.append(((ast.eq(f0, bv_const(9, 8)),
+                   ast.ult(f0, bv_const(2, 8))), (f0,)))  # unsat: no models
+    return specs
+
+
+def test_enumeration_agrees_with_check_batch():
+    """``iter_models`` folds into the N-way oracle: a space has models
+    exactly when the service finds one, every enumerated model holds,
+    and the service's model is one of them."""
+    from repro.solver.enumerate import iter_models
+    from repro.solver.evalmodel import evaluate
+
+    specs = _model_battery()
+    enumerated = [list(iter_models(constraints, variables))
+                  for constraints, variables in specs]
+    assert any(enumerated) and [] in enumerated  # sat and unsat both present
+    results = SolverService().check_batch(
+        [constraints for constraints, _ in specs])
+    for (constraints, variables), models, result in zip(
+            specs, enumerated, results):
+        assert result.is_sat == bool(models)
+        for model in models:
+            assert all_hold(constraints, model)
+        if result.is_sat:
+            found = {var: evaluate(var, dict(result.model))
+                     for var in variables}
+            assert found in models
+
+
 def test_all_layers_one_oracle():
     """The N-way cross-check on one battery: every layer, same answers.
 

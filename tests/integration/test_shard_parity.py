@@ -138,6 +138,10 @@ class TestRaftShardParity:
             for finding in raft_runs[shards].findings:
                 assert raft.classify_message(finding.witness) is not None
 
+    def test_report_records_shard_count(self, raft_runs):
+        for shards in SHARD_COUNTS:
+            assert raft_runs[shards].shards == shards
+
 
 class TestTpcShardParity:
     def test_findings_identical_at_every_shard_count(self, tpc_runs):
@@ -151,6 +155,18 @@ class TestTpcShardParity:
         for shards in SHARD_COUNTS:
             for finding in tpc_runs[shards].findings:
                 assert tpc.classify_message(finding.witness) is not None
+
+    def test_exploration_counters_identical(self, tpc_runs):
+        baseline = tpc_runs[1]
+        for shards in SHARD_COUNTS[1:]:
+            report = tpc_runs[shards]
+            assert report.server_paths_explored == \
+                baseline.server_paths_explored
+            assert report.server_paths_pruned == baseline.server_paths_pruned
+
+    def test_report_records_shard_count(self, tpc_runs):
+        for shards in SHARD_COUNTS:
+            assert tpc_runs[shards].shards == shards
 
 
 @pytest.fixture(scope="module")
@@ -180,6 +196,10 @@ class TestBroadcastShardParity:
                 assert broadcast.classify_message(finding.witness) \
                     is not None
 
+    def test_report_records_shard_count(self, broadcast_runs):
+        for shards in SHARD_COUNTS:
+            assert broadcast_runs[shards].shards == shards
+
 
 class TestPbftShardParity:
     def test_findings_identical_at_every_shard_count(self, pbft_runs):
@@ -197,3 +217,15 @@ class TestPbftShardParity:
             for finding in pbft_runs[shards].findings:
                 mac = decode(REQUEST_LAYOUT, finding.witness)["mac"]
                 assert mac != MAC_STUB
+
+    def test_exploration_counters_identical(self, pbft_runs):
+        baseline = pbft_runs[1]
+        for shards in SHARD_COUNTS[1:]:
+            report = pbft_runs[shards]
+            assert report.server_paths_explored == \
+                baseline.server_paths_explored
+            assert report.server_paths_pruned == baseline.server_paths_pruned
+
+    def test_report_records_shard_count(self, pbft_runs):
+        for shards in SHARD_COUNTS:
+            assert pbft_runs[shards].shards == shards

@@ -14,6 +14,7 @@ import pytest
 
 from repro.solver import ast
 from repro.solver.ast import bv_const, bv_var, eq, ne
+from repro.solver.evalmodel import all_hold
 from repro.solver.incremental import IncrementalSolver
 from repro.solver.interval import Interval
 from repro.solver.service import SolverService
@@ -79,6 +80,86 @@ class TestSerialBackend:
         service = SolverService()
         assert service.check_batch([]) == []
         assert service.probe_batch((ast.ult(X, bv_const(4, 8)),), []) == []
+
+    def test_random_check_batch_matches_scratch(self):
+        rng = random.Random(20140301)
+        queries = [_random_query(rng) for _ in range(24)]
+        results = SolverService().check_batch(queries)
+        for query, result in zip(queries, results):
+            scratch = Solver().check(list(query))
+            assert result.status == scratch.status, query
+            if result.is_sat:
+                # The model is complete and actually satisfies the query.
+                assert all_hold(list(query), dict(result.model))
+
+    def test_results_in_input_order(self):
+        # Alternate sat/unsat so any reordering flips an answer.
+        queries = []
+        for i in range(17):
+            if i % 2 == 0:
+                queries.append((eq(X, bv_const(i, 8)),))
+            else:
+                queries.append((eq(X, bv_const(i, 8)),
+                                ne(X, bv_const(i, 8))))
+        statuses = [r.is_sat for r in SolverService().check_batch(queries)]
+        assert statuses == [i % 2 == 0 for i in range(17)]
+
+    def test_probe_batch_matches_check_batch(self):
+        service = SolverService()
+        prefix = (ast.ult(X, bv_const(50, 8)), ast.ugt(Y, bv_const(5, 8)))
+        probes = [(eq(X, bv_const(v, 8)),) for v in (0, 49, 50, 120, 3)]
+        checked = SolverService().check_batch(
+            [prefix + probe for probe in probes])
+        assert service.probe_batch(prefix, probes) == \
+            [r.is_sat for r in checked]
+        assert service.probe_batch(prefix, probes) == \
+            [True, True, False, False, True]
+
+    def test_models_never_served_from_canonical_cache(self):
+        # Two canonically-equal but raw-distinct queries: each gets a model
+        # computed from its own stack, so a witness cannot depend on which
+        # query happened to be posed first.
+        q1 = (ast.ult(X, bv_const(10, 8)), eq(Y, bv_const(3, 8)))
+        q2 = (eq(Y, bv_const(3, 8)), ast.ult(X, bv_const(10, 8)))
+        r1, r2 = SolverService().check_batch([q1, q2])
+        assert r1.model == r2.model  # pure function of the constraint set
+
+    def test_batch_counters_land_on_the_shared_solver(self):
+        solver = Solver()
+        service = SolverService(solver=solver)
+        service.check_batch([(eq(X, bv_const(i, 8)),) for i in range(8)])
+        assert solver.stats.queries == 8
+        assert solver.stats.sat_answers == 8
+        assert solver.stats.frames_pushed > 0
+
+    def test_repeat_batches_agree(self):
+        queries = [(eq(X, bv_const(v, 8)),) for v in (3, 9, 250)]
+        queries.append((ast.ult(X, bv_const(3, 8)),
+                        ast.ugt(X, bv_const(7, 8))))
+        service = SolverService()
+        first = service.check_batch(queries)
+        again = service.check_batch(queries)
+        fresh = SolverService().check_batch(queries)
+        for other in (again, fresh):
+            assert [r.status for r in other] == [r.status for r in first]
+            assert [r.model for r in other] == [r.model for r in first]
+
+    def test_unsat_probe_leaves_the_prefix_usable(self):
+        service = SolverService()
+        prefix = (ast.ult(X, bv_const(10, 8)),)
+        assert service.probe_batch(prefix, [(eq(X, bv_const(20, 8)),),
+                                            (),
+                                            (eq(X, bv_const(9, 8)),)]) == \
+            [False, True, True]
+
+    def test_empty_prefix_probe(self):
+        assert SolverService().probe_batch(
+            (), [(eq(X, bv_const(5, 8)),)]) == [True]
+
+    def test_batch_methods_defined_on_the_class(self):
+        # Layer-timing probes patch these by name on the class itself.
+        assert callable(vars(SolverService)["probe_batch"])
+        assert callable(vars(SolverService)["check_batch"])
 
 
 class TestSolverStatsAggregation:
