@@ -36,7 +36,7 @@ afterwards::
 import argparse
 from collections import Counter
 
-from repro.bench.experiments import run_fsp_accuracy
+from repro.bench.experiments import make_engine_config, run_fsp_accuracy
 from repro.bench.tables import format_series, format_table
 from repro.systems.fsp import FSP_LAYOUT, classify_message
 
@@ -70,12 +70,13 @@ def main() -> None:
     args = parser.parse_args()
     hosts = tuple(h.strip() for h in (args.hosts or "").split(",") if h.strip())
     transport = "tcp" if hosts else "local"
+    engine = make_engine_config(args.search_order, args.max_paths)
     where = f"hosts={','.join(hosts)}" if hosts else "local processes"
     print(f"Running Achilles on FSP (8 utilities, path bound 5, "
           f"shards={args.shards}, {where})...")
     outcome = run_fsp_accuracy(shards=args.shards,
-                               search_order=args.search_order,
-                               max_paths=args.max_paths,
+                               client_engine=engine,
+                               server_engine=engine,
                                transport=transport, hosts=hosts,
                                on_worker_loss=args.on_worker_loss,
                                trace_dir=args.trace_dir,

@@ -22,7 +22,7 @@ byte-identical to the serial run either way.
 
 import argparse
 
-from repro.bench.experiments import run_raft_accuracy
+from repro.bench.experiments import make_engine_config, run_raft_accuracy
 from repro.bench.tables import format_table
 from repro.systems.raft import (
     classify_message,
@@ -59,12 +59,13 @@ def main() -> None:
     args = parser.parse_args()
     hosts = tuple(h.strip() for h in (args.hosts or "").split(",") if h.strip())
     transport = "tcp" if hosts else "local"
+    engine = make_engine_config(args.search_order, args.max_paths)
     where = f"hosts={','.join(hosts)}" if hosts else "local processes"
     print(f"Running Achilles on the Raft follower (shards={args.shards}, "
           f"{where})...")
     outcome = run_raft_accuracy(shards=args.shards,
-                                search_order=args.search_order,
-                                max_paths=args.max_paths,
+                                client_engine=engine,
+                                server_engine=engine,
                                 transport=transport, hosts=hosts,
                                 on_worker_loss=args.on_worker_loss,
                                 trace_dir=args.trace_dir,

@@ -16,9 +16,16 @@ Usage::
     python -m repro trace summarize RUN/trace.jsonl  # inspect a trace
     python -m repro corpus run --variants 12       # scenario-matrix corpus
 
-Every experiment accepts ``--shards`` (the one parallel throughput
-knob; findings are byte-identical at any shard count) and
-``--search-order/--max-paths`` (exploration policy overrides).
+Every flag of an experiment (and of ``corpus run``) is an
+:class:`~repro.achilles.AchillesConfig` field: the CLI builds the config
+keywords once and each runner only prints its own results. The scored
+experiments (``fsp``, ``raft``, ``tpc``, ``broadcast``) exit 1 unless
+the run reaches precision == recall == 1.0 against the seeded ground
+truth; a rejected configuration is one stderr line and exit 2.
+
+``--shards N`` is the one parallel throughput knob; findings are
+byte-identical at any shard count. ``--search-order/--max-paths``
+override the exploration policy of both analysis phases.
 
 Crash safety: ``--cache-dir DIR`` persists the canonical query cache
 across runs (a warm re-analysis only re-solves what changed; corrupted
@@ -56,36 +63,11 @@ import sys
 from repro.bench.tables import format_table
 
 
-def _run_toy(shards: int = 1,
-             search_order: str | None = None,
-             max_paths: int | None = None,
-             transport: str = "local", hosts: tuple = (),
-             on_worker_loss: str = "fail",
-             cache_dir: str | None = None,
-             run_dir: str | None = None,
-             checkpoint_interval: int = 1,
-             resume: bool = False,
-             trace_dir: str | None = None,
-             progress: bool = False) -> int:
+def _run_toy(run: dict) -> int:
     from repro.achilles import Achilles, AchillesConfig
-    from repro.bench.experiments import make_engine_config
     from repro.systems.toy import TOY_LAYOUT, toy_client, toy_server
 
-    with Achilles(AchillesConfig(layout=TOY_LAYOUT,
-                                 client_engine=make_engine_config(
-                                     search_order, max_paths),
-                                 server_engine=make_engine_config(
-                                     search_order, max_paths),
-                                 shards=shards,
-                                 transport=transport,
-                                 hosts=tuple(hosts),
-                                 on_worker_loss=on_worker_loss,
-                                 cache_dir=cache_dir,
-                                 run_dir=run_dir,
-                                 checkpoint_interval=checkpoint_interval,
-                                 resume=resume,
-                                 trace_dir=trace_dir,
-                                 progress=progress)) as achilles:
+    with Achilles(AchillesConfig(layout=TOY_LAYOUT, **run)) as achilles:
         predicates = achilles.extract_clients({"toy": toy_client})
         report = achilles.search(toy_server, predicates)
     rows = [[f.server_path_id, f.witness.hex(),
@@ -97,28 +79,15 @@ def _run_toy(shards: int = 1,
     return 0
 
 
-def _run_fsp(shards: int = 1,
-             search_order: str | None = None,
-             max_paths: int | None = None,
-             transport: str = "local", hosts: tuple = (),
-             on_worker_loss: str = "fail",
-             cache_dir: str | None = None,
-             run_dir: str | None = None,
-             checkpoint_interval: int = 1,
-             resume: bool = False,
-             trace_dir: str | None = None,
-             progress: bool = False) -> int:
+def _scored_exit(outcome) -> int:
+    """Exit status of a scored run: 0 only at precision == recall == 1."""
+    return 0 if outcome.precision == 1.0 and outcome.recall == 1.0 else 1
+
+
+def _run_fsp(run: dict) -> int:
     from repro.bench.experiments import run_fsp_accuracy
 
-    outcome = run_fsp_accuracy(shards=shards,
-                               search_order=search_order,
-                               max_paths=max_paths,
-                               transport=transport, hosts=hosts,
-                               on_worker_loss=on_worker_loss,
-                               cache_dir=cache_dir, run_dir=run_dir,
-                               checkpoint_interval=checkpoint_interval,
-                               resume=resume, trace_dir=trace_dir,
-                               progress=progress)
+    outcome = run_fsp_accuracy(**run)
     print(format_table(
         ["metric", "paper", "here"],
         [["true positives", 80, outcome.true_positives],
@@ -128,31 +97,14 @@ def _run_fsp(shards: int = 1,
          ["time", "1h03", f"{outcome.report.timings.total:.1f}s"]],
         title="FSP accuracy (Table 1, Achilles column)"))
     _report_health(outcome.report)
-    return 0 if outcome.false_positives == 0 else 1
+    return _scored_exit(outcome)
 
 
-def _run_fsp_wildcard(shards: int = 1,
-                      search_order: str | None = None,
-                      max_paths: int | None = None,
-                      transport: str = "local", hosts: tuple = (),
-                      on_worker_loss: str = "fail",
-                      cache_dir: str | None = None,
-                      run_dir: str | None = None,
-                      checkpoint_interval: int = 1,
-                      resume: bool = False,
-                      trace_dir: str | None = None,
-                      progress: bool = False) -> int:
+def _run_fsp_wildcard(run: dict) -> int:
     from repro.bench.experiments import run_fsp_wildcard
     from repro.systems.fsp import FSP_LAYOUT
 
-    report = run_fsp_wildcard(shards=shards,
-                              search_order=search_order, max_paths=max_paths,
-                              transport=transport, hosts=hosts,
-                              on_worker_loss=on_worker_loss,
-                              cache_dir=cache_dir, run_dir=run_dir,
-                              checkpoint_interval=checkpoint_interval,
-                              resume=resume, trace_dir=trace_dir,
-                              progress=progress)
+    report = run_fsp_wildcard(**run)
     buf = FSP_LAYOUT.view("buf")
     wildcard = [w for w in report.witnesses()
                 if any(b in (42, 63) for b in w[buf.offset:buf.end])]
@@ -165,27 +117,10 @@ def _run_fsp_wildcard(shards: int = 1,
     return 0 if wildcard else 1
 
 
-def _run_pbft(shards: int = 1,
-              search_order: str | None = None,
-              max_paths: int | None = None,
-              transport: str = "local", hosts: tuple = (),
-              on_worker_loss: str = "fail",
-              cache_dir: str | None = None,
-              run_dir: str | None = None,
-              checkpoint_interval: int = 1,
-              resume: bool = False,
-              trace_dir: str | None = None,
-              progress: bool = False) -> int:
+def _run_pbft(run: dict) -> int:
     from repro.bench.experiments import run_pbft_impact
 
-    outcome = run_pbft_impact(shards=shards,
-                              search_order=search_order, max_paths=max_paths,
-                              transport=transport, hosts=hosts,
-                              on_worker_loss=on_worker_loss,
-                              cache_dir=cache_dir, run_dir=run_dir,
-                              checkpoint_interval=checkpoint_interval,
-                              resume=resume, trace_dir=trace_dir,
-                              progress=progress)
+    outcome = run_pbft_impact(**run)
     print(f"findings: {outcome.report.trojan_count} "
           f"(MAC != {outcome.mac_stub.hex()}) in "
           f"{outcome.report.timings.total:.2f}s")
@@ -198,121 +133,58 @@ def _run_pbft(shards: int = 1,
     return 0
 
 
-def _accuracy_table(title: str, outcome, classes_total: int) -> None:
+def _print_scored(title: str, outcome, classify_message) -> int:
+    """A seeded-ground-truth run: accuracy table, health, one line per
+    finding; returns the run's exit status."""
+    total = outcome.classes_total
     print(format_table(
         ["metric", "seeded", "here"],
-        [["true positives", f">= {classes_total}", outcome.true_positives],
+        [["true positives", f">= {total}", outcome.true_positives],
          ["false positives", 0, outcome.false_positives],
-         ["classes", f"{classes_total}/{classes_total}",
+         ["classes", f"{total}/{total}",
           f"{outcome.classes_found}/{outcome.classes_total}"],
          ["precision", "1.00", f"{outcome.precision:.2f}"],
          ["recall", "1.00", f"{outcome.recall:.2f}"],
          ["time", "-", f"{outcome.report.timings.total:.1f}s"]],
         title=title))
+    _report_health(outcome.report)
+    for finding in outcome.report.findings:
+        print(f"  {classify_message(finding.witness)}  "
+              f"wire={finding.witness.hex()}")
+    return _scored_exit(outcome)
 
 
-def _run_raft(shards: int = 1,
-              search_order: str | None = None,
-              max_paths: int | None = None,
-              transport: str = "local", hosts: tuple = (),
-              on_worker_loss: str = "fail",
-              cache_dir: str | None = None,
-              run_dir: str | None = None,
-              checkpoint_interval: int = 1,
-              resume: bool = False,
-              trace_dir: str | None = None,
-              progress: bool = False) -> int:
+def _run_raft(run: dict) -> int:
     from repro.bench.experiments import run_raft_accuracy
-    from repro.systems.raft import all_trojan_classes, classify_message
+    from repro.systems.raft import classify_message
 
-    outcome = run_raft_accuracy(shards=shards,
-                                search_order=search_order,
-                                max_paths=max_paths,
-                                transport=transport, hosts=hosts,
-                                on_worker_loss=on_worker_loss,
-                                cache_dir=cache_dir, run_dir=run_dir,
-                                checkpoint_interval=checkpoint_interval,
-                                resume=resume, trace_dir=trace_dir,
-                                progress=progress)
-    _accuracy_table("Raft follower ingress vs seeded ground truth",
-                    outcome, len(all_trojan_classes()))
-    _report_health(outcome.report)
-    for finding in outcome.report.findings:
-        print(f"  {classify_message(finding.witness)}  "
-              f"wire={finding.witness.hex()}")
-    return 0 if outcome.precision == 1.0 and outcome.recall == 1.0 else 1
+    return _print_scored("Raft follower ingress vs seeded ground truth",
+                         run_raft_accuracy(**run), classify_message)
 
 
-def _run_tpc(shards: int = 1,
-             search_order: str | None = None,
-             max_paths: int | None = None,
-             transport: str = "local", hosts: tuple = (),
-             on_worker_loss: str = "fail",
-             cache_dir: str | None = None,
-             run_dir: str | None = None,
-             checkpoint_interval: int = 1,
-             resume: bool = False,
-             trace_dir: str | None = None,
-             progress: bool = False) -> int:
+def _run_tpc(run: dict) -> int:
     from repro.bench.experiments import run_tpc_accuracy
-    from repro.systems.tpc import all_trojan_classes, classify_message
+    from repro.systems.tpc import classify_message
 
-    outcome = run_tpc_accuracy(shards=shards,
-                               search_order=search_order,
-                               max_paths=max_paths,
-                               transport=transport, hosts=hosts,
-                               on_worker_loss=on_worker_loss,
-                               cache_dir=cache_dir, run_dir=run_dir,
-                               checkpoint_interval=checkpoint_interval,
-                               resume=resume, trace_dir=trace_dir,
-                               progress=progress)
-    _accuracy_table("Two-phase-commit participant vs seeded ground truth",
-                    outcome, len(all_trojan_classes()))
-    _report_health(outcome.report)
-    for finding in outcome.report.findings:
-        print(f"  {classify_message(finding.witness)}  "
-              f"wire={finding.witness.hex()}")
-    return 0 if outcome.precision == 1.0 and outcome.recall == 1.0 else 1
+    return _print_scored(
+        "Two-phase-commit participant vs seeded ground truth",
+        run_tpc_accuracy(**run), classify_message)
 
 
-def _run_broadcast(shards: int = 1,
-                   search_order: str | None = None,
-                   max_paths: int | None = None,
-                   transport: str = "local", hosts: tuple = (),
-                   on_worker_loss: str = "fail",
-                   cache_dir: str | None = None,
-                   run_dir: str | None = None,
-                   checkpoint_interval: int = 1,
-                   resume: bool = False,
-                   trace_dir: str | None = None,
-                   progress: bool = False) -> int:
+def _run_broadcast(run: dict) -> int:
     from repro.bench.experiments import run_broadcast_accuracy
     from repro.systems.broadcast import (
-        all_trojan_classes,
         classify_message,
         run_forged_delivery_demo,
     )
 
-    outcome = run_broadcast_accuracy(shards=shards,
-                                     search_order=search_order,
-                                     max_paths=max_paths,
-                                     transport=transport, hosts=hosts,
-                                     on_worker_loss=on_worker_loss,
-                                     cache_dir=cache_dir, run_dir=run_dir,
-                                     checkpoint_interval=checkpoint_interval,
-                                     resume=resume, trace_dir=trace_dir,
-                                     progress=progress)
-    _accuracy_table("Bracha broadcast node vs seeded ground truth",
-                    outcome, len(all_trojan_classes()))
-    _report_health(outcome.report)
-    for finding in outcome.report.findings:
-        print(f"  {classify_message(finding.witness)}  "
-              f"wire={finding.witness.hex()}")
+    status = _print_scored("Bracha broadcast node vs seeded ground truth",
+                           run_broadcast_accuracy(**run), classify_message)
     demo = run_forged_delivery_demo()
     print(f"concrete impact: buggy node delivered "
           f"{demo.delivered:#04x} from a forged slot; strict control "
           f"node delivered {demo.control_delivered}")
-    return 0 if outcome.precision == 1.0 and outcome.recall == 1.0 else 1
+    return status
 
 
 def _report_health(report) -> None:
@@ -348,6 +220,66 @@ _EXPERIMENTS = {
     "broadcast": (_run_broadcast,
                   "Bracha broadcast: forged-sender SEND + thin-quorum READY"),
 }
+
+
+def _run_flags() -> argparse.ArgumentParser:
+    """The run flags shared by the experiment parser and ``corpus run``."""
+    parser = argparse.ArgumentParser(add_help=False)
+    parser.add_argument("--shards", type=int, default=1,
+                        help="exploration shard processes for the server "
+                             "search (default: 1, one in-process walk; "
+                             "findings are identical at any shard count)")
+    parser.add_argument("--transport", choices=["local", "tcp"],
+                        default="local",
+                        help="where shard workers live (default: local "
+                             "processes; tcp drives `repro worker` daemons "
+                             "named by --hosts)")
+    parser.add_argument("--hosts", default="", metavar="HOST:PORT[,...]",
+                        help="comma-separated worker daemon addresses for "
+                             "--transport tcp; shards round-robin over them")
+    parser.add_argument("--on-worker-loss", choices=["fail", "recover"],
+                        default="fail",
+                        help="policy when a shard worker dies silently "
+                             "mid-run (default: fail loudly naming the "
+                             "lost assignment; recover reassigns it to a "
+                             "respawned or surviving worker — findings "
+                             "are identical either way)")
+    parser.add_argument("--search-order", choices=["dfs", "bfs"],
+                        default=None,
+                        help="exploration worklist order (default: the "
+                             "engine default, dfs)")
+    parser.add_argument("--max-paths", type=int, default=None,
+                        help="cap on completed paths per exploration "
+                             "(default: the engine default)")
+    parser.add_argument("--cache-dir", default=None, metavar="DIR",
+                        help="persist the canonical query cache to this "
+                             "directory and pre-load it on start; a warm "
+                             "re-run only re-solves what changed, and "
+                             "corrupted cache files degrade to a colder "
+                             "cache, never an error")
+    parser.add_argument("--progress", action="store_true",
+                        help="print a live one-line fleet status to "
+                             "stderr while the search runs")
+    return parser
+
+
+def _run_config(args: argparse.Namespace) -> dict:
+    """The :class:`~repro.achilles.AchillesConfig` keywords that the
+    :func:`_run_flags` set in ``args``."""
+    from repro.bench.experiments import make_engine_config
+
+    engine = make_engine_config(args.search_order, args.max_paths)
+    return {
+        "shards": args.shards,
+        "transport": args.transport,
+        "hosts": tuple(h.strip() for h in args.hosts.split(",")
+                       if h.strip()),
+        "on_worker_loss": args.on_worker_loss,
+        "client_engine": engine,
+        "server_engine": engine,
+        "cache_dir": args.cache_dir,
+        "progress": args.progress,
+    }
 
 
 def _run_worker(argv: list[str]) -> int:
@@ -483,6 +415,7 @@ def _run_corpus(argv: list[str]) -> int:
     """The ``corpus`` subcommand: scenario-matrix generation + scoring."""
     parser = argparse.ArgumentParser(
         prog="python -m repro corpus",
+        parents=[_run_flags()],
         description="Generate a corpus of randomized seeded-bug system "
                     "variants from the registered templates and score a "
                     "full Achilles hunt on each against the variant's "
@@ -491,7 +424,8 @@ def _run_corpus(argv: list[str]) -> int:
                     "== recall == 1.0); 'report' re-renders a JSON file "
                     "a previous run wrote with --out. Every variant is "
                     "reproducible from its printed TEMPLATE:SEED token "
-                    "alone via --variant.")
+                    "alone via --variant. The run flags apply to every "
+                    "hunt of the corpus.")
     parser.add_argument("action", choices=["run", "report"],
                         help="run a corpus, or re-render a saved report")
     parser.add_argument("path", nargs="?", metavar="REPORT",
@@ -516,25 +450,6 @@ def _run_corpus(argv: list[str]) -> int:
                         help="also write the deterministic JSON report "
                              "here (byte-identical across runs of the "
                              "same seed)")
-    parser.add_argument("--shards", type=int, default=1,
-                        help="exploration shard processes per hunt")
-    parser.add_argument("--transport", choices=["local", "tcp"],
-                        default="local",
-                        help="where shard workers live")
-    parser.add_argument("--hosts", default="", metavar="HOST:PORT[,...]",
-                        help="worker daemon addresses for --transport tcp")
-    parser.add_argument("--on-worker-loss", choices=["fail", "recover"],
-                        default="fail",
-                        help="policy when a shard worker dies mid-run")
-    parser.add_argument("--search-order", choices=["dfs", "bfs"],
-                        default=None, help="exploration worklist order")
-    parser.add_argument("--max-paths", type=int, default=None,
-                        help="cap on completed paths per exploration")
-    parser.add_argument("--cache-dir", default=None, metavar="DIR",
-                        help="persistent query cache shared by all the "
-                             "corpus hunts")
-    parser.add_argument("--progress", action="store_true",
-                        help="live fleet status on stderr per hunt")
     args = parser.parse_args(argv)
     import json
     from pathlib import Path
@@ -559,16 +474,11 @@ def _run_corpus(argv: list[str]) -> int:
 
     templates = tuple(t.strip() for t in args.templates.split(",")
                       if t.strip())
-    hosts = tuple(h.strip() for h in args.hosts.split(",") if h.strip())
     try:
         outcome = run_corpus(
             corpus_seed=args.corpus_seed, variants=args.variants,
             templates=templates or None, only=tuple(args.variant),
-            shards=args.shards,
-            search_order=args.search_order, max_paths=args.max_paths,
-            transport=args.transport, hosts=hosts,
-            on_worker_loss=args.on_worker_loss,
-            cache_dir=args.cache_dir, progress=args.progress)
+            **_run_config(args))
     except ReproError as exc:
         print(f"corpus error: {exc}", file=sys.stderr)
         return 2
@@ -582,67 +492,31 @@ def _run_corpus(argv: list[str]) -> int:
     return 0 if outcome.perfect else 1
 
 
+#: Subcommands with flag sets of their own: name -> (runner, summary).
+_TOOLS = {
+    "worker": (_run_worker, "shard worker daemon"),
+    "cache": (_run_cache, "disk-cache maintenance"),
+    "trace": (_run_trace, "trace inspector/exporter"),
+    "corpus": (_run_corpus, "scenario-matrix corpus runner"),
+}
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    # The worker daemon has its own flag set (and runs forever), so it
-    # branches off before the experiment parser.
-    if argv[:1] == ["worker"]:
-        return _run_worker(argv[1:])
-    if argv[:1] == ["cache"]:
-        return _run_cache(argv[1:])
-    if argv[:1] == ["trace"]:
-        return _run_trace(argv[1:])
-    if argv[:1] == ["corpus"]:
-        return _run_corpus(argv[1:])
+    # The tools parse their own flags (the worker daemon runs forever),
+    # so they branch off before the experiment parser.
+    if argv and argv[0] in _TOOLS:
+        return _TOOLS[argv[0]][0](argv[1:])
+    tools = ", ".join(f"'{name}' ({summary})"
+                      for name, (_, summary) in _TOOLS.items())
     parser = argparse.ArgumentParser(
         prog="python -m repro",
-        description="Run Achilles reproduction experiments "
-                    "('python -m repro worker --help' for the shard "
-                    "worker daemon, 'python -m repro cache --help' for "
-                    "the disk-cache maintenance tool, 'python -m repro "
-                    "trace --help' for the trace inspector, 'python -m "
-                    "repro corpus --help' for the scenario-matrix "
-                    "corpus).")
+        parents=[_run_flags()],
+        description="Run Achilles reproduction experiments ('python -m "
+                    f"repro TOOL --help' for the tools: {tools}).")
     parser.add_argument("experiment",
-                        choices=sorted(_EXPERIMENTS) + ["list", "worker",
-                                                        "cache", "trace",
-                                                        "corpus"],
-                        help="experiment to run, 'list', 'worker' (shard "
-                             "worker daemon), 'cache' (disk-cache "
-                             "maintenance), 'trace' (trace inspector), "
-                             "or 'corpus' (scenario-matrix corpus)")
-    parser.add_argument("--shards", type=int, default=1,
-                        help="exploration shard processes for the server "
-                             "search (default: 1, one in-process walk; "
-                             "findings are identical at any shard count)")
-    parser.add_argument("--transport", choices=["local", "tcp"],
-                        default="local",
-                        help="where shard workers live (default: local "
-                             "processes; tcp drives `repro worker` daemons "
-                             "named by --hosts)")
-    parser.add_argument("--hosts", default="", metavar="HOST:PORT[,...]",
-                        help="comma-separated worker daemon addresses for "
-                             "--transport tcp; shards round-robin over them")
-    parser.add_argument("--on-worker-loss", choices=["fail", "recover"],
-                        default="fail",
-                        help="policy when a shard worker dies silently "
-                             "mid-run (default: fail loudly naming the "
-                             "lost assignment; recover reassigns it to a "
-                             "respawned or surviving worker — findings "
-                             "are identical either way)")
-    parser.add_argument("--search-order", choices=["dfs", "bfs"],
-                        default=None,
-                        help="exploration worklist order (default: the "
-                             "engine default, dfs)")
-    parser.add_argument("--max-paths", type=int, default=None,
-                        help="cap on completed paths per exploration "
-                             "(default: the engine default)")
-    parser.add_argument("--cache-dir", default=None, metavar="DIR",
-                        help="persist the canonical query cache to this "
-                             "directory and pre-load it on start; a warm "
-                             "re-run only re-solves what changed, and "
-                             "corrupted cache files degrade to a colder "
-                             "cache, never an error")
+                        choices=sorted(_EXPERIMENTS) + ["list", *_TOOLS],
+                        help="experiment to run, 'list', or a tool")
     parser.add_argument("--run-dir", default=None, metavar="DIR",
                         help="journal sharded-search progress to "
                              "DIR/journal.wal (needs --shards >= 2) so a "
@@ -660,9 +534,6 @@ def main(argv: list[str] | None = None) -> int:
                              "workers, every solver layer) and write the "
                              "merged trace to DIR/trace.jsonl; inspect "
                              "with 'python -m repro trace'")
-    parser.add_argument("--progress", action="store_true",
-                        help="print a live one-line fleet status to "
-                             "stderr while the search runs")
     parser.add_argument("-v", "--verbose", action="count", default=0,
                         help="raise repro logger verbosity (repeatable: "
                              "-v info, -vv debug)")
@@ -674,39 +545,25 @@ def main(argv: list[str] | None = None) -> int:
 
     configure(verbosity=-1 if args.quiet else args.verbose)
     if args.experiment == "list":
-        for name, (_, description) in sorted(_EXPERIMENTS.items()):
-            print(f"{name:14} {description}")
-        print("worker         shard worker daemon "
-              "(python -m repro worker --help)")
-        print("cache          disk-cache maintenance "
-              "(python -m repro cache --help)")
-        print("trace          trace inspector/exporter "
-              "(python -m repro trace --help)")
-        print("corpus         scenario-matrix corpus runner "
-              "(python -m repro corpus --help)")
+        for name, (_, summary) in sorted(_EXPERIMENTS.items()):
+            print(f"{name:14} {summary}")
+        for name, (_, summary) in _TOOLS.items():
+            print(f"{name:14} {summary} (python -m repro {name} --help)")
         return 0
-    run_dir = args.run_dir
-    resume = False
+    run = _run_config(args)
+    run.update(run_dir=args.run_dir,
+               checkpoint_interval=args.checkpoint_interval,
+               trace_dir=args.trace_dir)
     if args.resume is not None:
-        if run_dir is not None and run_dir != args.resume:
+        if args.run_dir not in (None, args.resume):
             parser.error("--resume RUN_DIR already names the run "
                          "directory; drop the conflicting --run-dir")
-        run_dir = args.resume
-        resume = True
-    hosts = tuple(h.strip() for h in args.hosts.split(",") if h.strip())
+        run.update(run_dir=args.resume, resume=True)
     runner, _ = _EXPERIMENTS[args.experiment]
     from repro.errors import ReproError
 
     try:
-        return runner(shards=args.shards,
-                      search_order=args.search_order,
-                      max_paths=args.max_paths,
-                      transport=args.transport, hosts=hosts,
-                      on_worker_loss=args.on_worker_loss,
-                      cache_dir=args.cache_dir, run_dir=run_dir,
-                      checkpoint_interval=args.checkpoint_interval,
-                      resume=resume, trace_dir=args.trace_dir,
-                      progress=args.progress)
+        return runner(run)
     except ReproError as exc:
         print(f"{args.experiment} error: {exc}", file=sys.stderr)
         return 2

@@ -5,6 +5,10 @@ structured outcome; the benchmark files print the paper-shaped rows and
 assert the qualitative claims (who wins, by what rough factor, where the
 curves bend). Absolute times differ from the paper's 16-core testbed by
 construction — the shapes are what reproduces.
+
+A hunting driver takes its own inputs plus ``**run``: keywords passed on
+unchanged to :class:`~repro.achilles.AchillesConfig` (shards, transport,
+exploration limits, cache, journal, tracing).
 """
 
 from __future__ import annotations
@@ -70,97 +74,21 @@ class AccuracyOutcome:
         return self.classes_found / self.classes_total
 
 
-def _fsp_achilles(optimizations: OptimizationFlags | None = None,
-                  shards: int = 1,
-                  search_order: str | None = None,
-                  max_paths: int | None = None,
-                  transport="local",
-                  hosts: tuple = (),
-                  on_worker_loss: str = "fail",
-                  cache_dir: str | None = None,
-                  run_dir: str | None = None,
-                  checkpoint_interval: int = 1,
-                  resume: bool = False,
-                  trace_dir: str | None = None,
-                  progress: bool = False) -> Achilles:
-    config = AchillesConfig(layout=fsp.FSP_LAYOUT, mask=FSP_SESSION_MASK,
-                            optimizations=optimizations or OptimizationFlags(),
-                            client_engine=make_engine_config(search_order,
-                                                             max_paths),
-                            server_engine=make_engine_config(search_order,
-                                                             max_paths),
-                            shards=shards,
-                            transport=transport, hosts=tuple(hosts),
-                            on_worker_loss=on_worker_loss,
-                            cache_dir=cache_dir, run_dir=run_dir,
-                            checkpoint_interval=checkpoint_interval,
-                            resume=resume, trace_dir=trace_dir,
-                            progress=progress)
-    return Achilles(config)
-
-
 def run_fsp_accuracy(optimizations: OptimizationFlags | None = None,
-                     shards: int = 1,
-                     search_order: str | None = None,
-                     max_paths: int | None = None,
-                     transport="local",
-                     hosts: tuple = (),
-                     on_worker_loss: str = "fail",
-                     cache_dir: str | None = None,
-                     run_dir: str | None = None,
-                     checkpoint_interval: int = 1,
-                     resume: bool = False,
-                     trace_dir: str | None = None,
-                     progress: bool = False) -> AccuracyOutcome:
-    """Table 1 (Achilles column) + Figures 10/11 raw data.
-
-    ``shards`` > 1 partitions the phase-2 path tree across exploration
-    worker processes; findings are byte-identical at any shard count. ``search_order`` / ``max_paths`` override the
-    default exploration policy for both phases. ``transport``/``hosts``
-    choose where shard workers live (``"tcp"`` drives remote
-    ``python -m repro worker`` daemons; findings stay byte-identical).
-    ``cache_dir`` persists the canonical query cache across runs (a warm
-    re-run only re-solves what changed); ``run_dir`` /
-    ``checkpoint_interval`` / ``resume`` checkpoint the sharded phase-2
-    search and continue it after a coordinator kill.
-    """
-    with _fsp_achilles(optimizations, shards, search_order,
-                       max_paths, transport, hosts, on_worker_loss,
-                       cache_dir, run_dir, checkpoint_interval,
-                       resume, trace_dir, progress) as achilles:
-        predicates = achilles.extract_clients(fsp.literal_clients())
-        report = achilles.search(fsp.fsp_server, predicates)
-    score = fsp.GroundTruth.score(report.witnesses())
-    return AccuracyOutcome(
-        report=report,
-        true_positives=score.true_positives,
-        false_positives=score.false_positives,
-        classes_found=len(score.classes_found),
-        classes_total=len(fsp.all_trojan_classes()),
-    )
+                     **run) -> AccuracyOutcome:
+    """Table 1 (Achilles column) + Figures 10/11 raw data."""
+    return _scored_accuracy_run(
+        fsp.FSP_LAYOUT, None, fsp.literal_clients(), fsp.fsp_server,
+        fsp.GroundTruth, len(fsp.all_trojan_classes()),
+        mask=FSP_SESSION_MASK,
+        optimizations=optimizations or OptimizationFlags(), **run)
 
 
 def run_fsp_wildcard(listing: tuple[str, ...] = ("f1", "f2", "doc"),
-                     shards: int = 1,
-                     search_order: str | None = None,
-                     max_paths: int | None = None,
-                     transport="local",
-                     hosts: tuple = (),
-                     on_worker_loss: str = "fail",
-                     cache_dir: str | None = None,
-                     run_dir: str | None = None,
-                     checkpoint_interval: int = 1,
-                     resume: bool = False,
-                     trace_dir: str | None = None,
-                     progress: bool = False) -> AchillesReport:
+                     **run) -> AchillesReport:
     """§6.3 wildcard experiment: globbing clients, same server."""
-    with _fsp_achilles(shards=shards, search_order=search_order,
-                       max_paths=max_paths, transport=transport,
-                       hosts=hosts, on_worker_loss=on_worker_loss,
-                       cache_dir=cache_dir, run_dir=run_dir,
-                       checkpoint_interval=checkpoint_interval,
-                       resume=resume, trace_dir=trace_dir,
-                       progress=progress) as achilles:
+    with Achilles(AchillesConfig(layout=fsp.FSP_LAYOUT, mask=FSP_SESSION_MASK,
+                                 **run)) as achilles:
         predicates = achilles.extract_clients(fsp.globbing_clients(listing))
         return achilles.search(fsp.fsp_server, predicates)
 
@@ -247,7 +175,8 @@ def run_ablation() -> dict[str, AchillesReport]:
     Also includes single-optimization-off variants (the design-choice
     ablation DESIGN.md calls out).
     """
-    achilles = _fsp_achilles()
+    achilles = Achilles(AchillesConfig(layout=fsp.FSP_LAYOUT,
+                                       mask=FSP_SESSION_MASK))
     predicates = achilles.extract_clients(fsp.literal_clients())
 
     outcomes: dict[str, AchillesReport] = {}
@@ -283,92 +212,30 @@ class PbftOutcome:
     impact: dict[str, ClusterStats] = field(default_factory=dict)
 
 
-def run_pbft_analysis(shards: int = 1,
-                      search_order: str | None = None,
-                      max_paths: int | None = None,
-                      transport="local",
-                      hosts: tuple = (),
-                      on_worker_loss: str = "fail",
-                      cache_dir: str | None = None,
-                      run_dir: str | None = None,
-                      checkpoint_interval: int = 1,
-                      resume: bool = False,
-                      trace_dir: str | None = None,
-                      progress: bool = False) -> AchillesReport:
+def run_pbft_analysis(**run) -> AchillesReport:
     """§6.2 PBFT run: the MAC Trojan on every accepting path."""
     with Achilles(AchillesConfig(layout=REQUEST_LAYOUT,
-                                 destination="replica0",
-                                 client_engine=make_engine_config(
-                                     search_order, max_paths),
-                                 server_engine=make_engine_config(
-                                     search_order, max_paths),
-                                 shards=shards,
-                                 transport=transport,
-                                 hosts=tuple(hosts),
-                                 on_worker_loss=on_worker_loss,
-                                 cache_dir=cache_dir,
-                                 run_dir=run_dir,
-                                 checkpoint_interval=checkpoint_interval,
-                                 resume=resume,
-                                 trace_dir=trace_dir,
-                                 progress=progress)) as achilles:
+                                 destination="replica0", **run)) as achilles:
         predicates = achilles.extract_clients({"pbft-client": pbft_client})
         return achilles.search(pbft_replica, predicates)
 
 
-def run_pbft_impact(requests: int = 40, shards: int = 1,
-                    search_order: str | None = None,
-                    max_paths: int | None = None,
-                    transport="local",
-                    hosts: tuple = (),
-                    on_worker_loss: str = "fail",
-                    cache_dir: str | None = None,
-                    run_dir: str | None = None,
-                    checkpoint_interval: int = 1,
-                    resume: bool = False,
-                    trace_dir: str | None = None,
-                    progress: bool = False) -> PbftOutcome:
+def run_pbft_impact(requests: int = 40, **run) -> PbftOutcome:
     """§6.3 MAC attack impact: throughput under increasing attack rates."""
-    report = run_pbft_analysis(shards=shards,
-                               search_order=search_order,
-                               max_paths=max_paths, transport=transport,
-                               hosts=hosts, on_worker_loss=on_worker_loss,
-                               cache_dir=cache_dir, run_dir=run_dir,
-                               checkpoint_interval=checkpoint_interval,
-                               resume=resume, trace_dir=trace_dir,
-                               progress=progress)
-    outcome = PbftOutcome(report=report, mac_stub=MAC_STUB)
+    outcome = PbftOutcome(report=run_pbft_analysis(**run), mac_stub=MAC_STUB)
     for label, every in {"clean": 0, "attack-10%": 10, "attack-50%": 2}.items():
         outcome.impact[label] = run_workload(requests, malicious_every=every)
     return outcome
 
 
-def _scored_accuracy_run(layout, destination: str, clients, server,
-                         ground_truth, class_count: int, shards: int,
-                         search_order: str | None,
-                         max_paths: int | None,
-                         transport="local",
-                         hosts: tuple = (),
-                         on_worker_loss: str = "fail",
-                         cache_dir: str | None = None,
-                         run_dir: str | None = None,
-                         checkpoint_interval: int = 1,
-                         resume: bool = False,
-                         trace_dir: str | None = None,
-                         progress: bool = False) -> AccuracyOutcome:
-    """Full pipeline + ground-truth scoring, shared by raft and tpc."""
-    config = AchillesConfig(layout=layout, destination=destination,
-                            client_engine=make_engine_config(search_order,
-                                                             max_paths),
-                            server_engine=make_engine_config(search_order,
-                                                             max_paths),
-                            shards=shards,
-                            transport=transport, hosts=tuple(hosts),
-                            on_worker_loss=on_worker_loss,
-                            cache_dir=cache_dir, run_dir=run_dir,
-                            checkpoint_interval=checkpoint_interval,
-                            resume=resume, trace_dir=trace_dir,
-                            progress=progress)
+def _scored_accuracy_run(layout, destination: str | None, clients, server,
+                         ground_truth, class_count: int,
+                         **run) -> AccuracyOutcome:
+    """Full pipeline + ground-truth scoring, shared by the scored drivers.
+
+    ``run`` holds further :class:`AchillesConfig` keywords.
+    """
+    config = AchillesConfig(layout=layout, destination=destination, **run)
     with Achilles(config) as achilles:
         predicates = achilles.extract_clients(clients)
         report = achilles.search(server, predicates)
@@ -382,47 +249,22 @@ def _scored_accuracy_run(layout, destination: str, clients, server,
     )
 
 
-def run_raft_accuracy(shards: int = 1,
-                      search_order: str | None = None,
-                      max_paths: int | None = None,
-                      transport="local",
-                      hosts: tuple = (),
-                      on_worker_loss: str = "fail",
-                      cache_dir: str | None = None,
-                      run_dir: str | None = None,
-                      checkpoint_interval: int = 1,
-                      resume: bool = False,
-                      trace_dir: str | None = None,
-                      progress: bool = False) -> AccuracyOutcome:
+def run_raft_accuracy(**run) -> AccuracyOutcome:
     """Raft follower ingress vs the 9 seeded Trojan classes.
 
     Scores Achilles against :mod:`repro.systems.raft.ground_truth`
     (8 stale-term AppendEntries classes + 1 vote off-by-one); a perfect
-    run has ``precision == recall == 1.0``. The shard knob behaves as
-    for FSP: findings are byte-identical at any shard count.
+    run has ``precision == recall == 1.0``.
     """
     from repro.systems import raft
 
     return _scored_accuracy_run(
         raft.RAFT_LAYOUT, "follower", raft.peer_clients(),
         raft.raft_follower, raft.GroundTruth,
-        len(raft.all_trojan_classes()), shards, search_order,
-        max_paths, transport, hosts, on_worker_loss, cache_dir, run_dir,
-        checkpoint_interval, resume, trace_dir, progress)
+        len(raft.all_trojan_classes()), **run)
 
 
-def run_broadcast_accuracy(shards: int = 1,
-                           search_order: str | None = None,
-                           max_paths: int | None = None,
-                           transport="local",
-                           hosts: tuple = (),
-                           on_worker_loss: str = "fail",
-                           cache_dir: str | None = None,
-                           run_dir: str | None = None,
-                           checkpoint_interval: int = 1,
-                           resume: bool = False,
-                           trace_dir: str | None = None,
-                           progress: bool = False) -> AccuracyOutcome:
+def run_broadcast_accuracy(**run) -> AccuracyOutcome:
     """Bracha broadcast node ingress vs the 7 seeded Trojan classes.
 
     Scores Achilles against :mod:`repro.systems.broadcast.ground_truth`
@@ -434,22 +276,12 @@ def run_broadcast_accuracy(shards: int = 1,
     return _scored_accuracy_run(
         broadcast.BROADCAST_LAYOUT, "node", broadcast.peer_clients(),
         broadcast.broadcast_node, broadcast.GroundTruth,
-        len(broadcast.all_trojan_classes()), shards, search_order,
-        max_paths, transport, hosts, on_worker_loss, cache_dir, run_dir,
-        checkpoint_interval, resume, trace_dir, progress)
+        len(broadcast.all_trojan_classes()), **run)
 
 
 def run_corpus(corpus_seed: int = 0, variants: int = 12,
                templates: tuple[str, ...] | None = None,
-               only: tuple[str, ...] = (),
-               shards: int = 1,
-               search_order: str | None = None,
-               max_paths: int | None = None,
-               transport="local",
-               hosts: tuple = (),
-               on_worker_loss: str = "fail",
-               cache_dir: str | None = None,
-               progress: bool = False):
+               only: tuple[str, ...] = (), **run):
     """Scenario-matrix corpus: generate, hunt and score system variants.
 
     Generates ``variants`` randomized systems from the registered
@@ -457,6 +289,7 @@ def run_corpus(corpus_seed: int = 0, variants: int = 12,
     Achilles pipeline on each and scores it against the variant's own
     derived ground truth. ``only`` bypasses generation and rebuilds the
     given ``template:seed`` tokens instead — the reproduce-one-row path.
+    ``run`` applies to every hunt.
 
     Returns a :class:`repro.corpus.CorpusOutcome`; a healthy corpus has
     ``precision == recall == 1.0`` on every row.
@@ -478,26 +311,13 @@ def run_corpus(corpus_seed: int = 0, variants: int = 12,
         outcome = _scored_accuracy_run(
             variant.layout, variant.destination, variant.clients,
             variant.server, bound_ground_truth(variant),
-            len(variant.classes), shards, search_order,
-            max_paths, transport, hosts, on_worker_loss, cache_dir,
-            None, 1, False, None, progress)
+            len(variant.classes), **run)
         results.append(VariantOutcome(variant=variant, outcome=outcome))
     return CorpusOutcome(corpus_seed=None if only else corpus_seed,
                          results=results)
 
 
-def run_tpc_accuracy(shards: int = 1,
-                     search_order: str | None = None,
-                     max_paths: int | None = None,
-                     transport="local",
-                     hosts: tuple = (),
-                     on_worker_loss: str = "fail",
-                     cache_dir: str | None = None,
-                     run_dir: str | None = None,
-                     checkpoint_interval: int = 1,
-                     resume: bool = False,
-                     trace_dir: str | None = None,
-                     progress: bool = False) -> AccuracyOutcome:
+def run_tpc_accuracy(**run) -> AccuracyOutcome:
     """Two-phase-commit participant vs the 2 seeded Trojan classes.
 
     Scores Achilles against :mod:`repro.systems.tpc.ground_truth`
@@ -509,6 +329,4 @@ def run_tpc_accuracy(shards: int = 1,
     return _scored_accuracy_run(
         tpc.TPC_LAYOUT, "participant", tpc.coordinator_clients(),
         tpc.tpc_participant, tpc.GroundTruth,
-        len(tpc.all_trojan_classes()), shards, search_order,
-        max_paths, transport, hosts, on_worker_loss, cache_dir, run_dir,
-        checkpoint_interval, resume, trace_dir, progress)
+        len(tpc.all_trojan_classes()), **run)

@@ -340,6 +340,10 @@ class Engine:
         order = order or self.config.search_order
         if order not in (DFS, BFS):
             raise SymexError(f"unknown search order {order!r}")
+        if self.config.max_paths < 1:
+            raise SymexError(f"max_paths must be >= 1, got "
+                             f"{self.config.max_paths} (a cap below 1 "
+                             "explores nothing)")
         observer = observer or PathObserver()
         stats = ExplorationStats()
         self._stats = stats

@@ -46,6 +46,12 @@ class TestSearchOrder:
         with pytest.raises(SymexError):
             engine.explore(_ladder)
 
+    @pytest.mark.parametrize("max_paths", [0, -3])
+    def test_non_positive_max_paths_rejected(self, max_paths):
+        engine = Engine(EngineConfig(max_paths=max_paths))
+        with pytest.raises(SymexError, match="max_paths"):
+            engine.explore(_ladder)
+
     def test_max_paths_interacts_with_order(self):
         dfs = Engine(EngineConfig(search_order=DFS, max_paths=2))
         bfs = Engine(EngineConfig(search_order=BFS, max_paths=2))

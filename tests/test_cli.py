@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.__main__ import main
+from repro.__main__ import _EXPERIMENTS, main
 
 
 class TestCli:
@@ -24,6 +24,14 @@ class TestCli:
         out = capsys.readouterr().out
         assert "MAC attack impact" in out
         assert "attack-50%" in out
+
+    def test_fsp_exits_one_short_of_full_recall(self, capsys):
+        """A capped hunt finds a few classes and no false positives; that
+        is a failed Table-1 run, not a pass."""
+        assert main(["fsp", "--max-paths", "20"]) == 1
+        row = next(line.split() for line in capsys.readouterr().out
+                   .splitlines() if line.startswith("classes"))
+        assert row[1] == "80/80" and row[2] != "80/80"
 
     def test_unknown_experiment_rejected(self):
         with pytest.raises(SystemExit):
@@ -76,6 +84,7 @@ class TestBadConfig:
         (["toy", "--checkpoint-interval", "0"],
          "checkpoint_interval must be >= 1"),
         (["toy", "--run-dir", "RUN"], "set shards >= 2"),
+        (["toy", "--max-paths", "0"], "max_paths"),
     ])
     def test_bad_config_exits_two(self, capsys, tmp_path, argv, message):
         argv = [str(tmp_path / arg) if arg == "RUN" else arg
@@ -235,3 +244,80 @@ class TestTraceExportSalvage:
         captured = capsys.readouterr()
         assert "warning" not in captured.err
         assert path.with_suffix(".chrome.json").exists()
+
+
+class _Captured(Exception):
+    """Raised by the patched phase 1 once the run's config is recorded."""
+
+
+class TestFlagPlumbing:
+    """Every run flag a subcommand accepts must land on the matching
+    :class:`AchillesConfig` field. Phase 1 is patched to record the
+    config and stop, so no hunt runs and no worker daemon is dialled."""
+
+    SHARED = ["--shards", "2", "--transport", "tcp", "--hosts", "a:1,b:2",
+              "--on-worker-loss", "recover",
+              "--search-order", "bfs", "--max-paths", "7", "--progress"]
+
+    @pytest.fixture
+    def configs(self, monkeypatch):
+        from repro.achilles import Achilles
+
+        seen = []
+
+        def record(self, clients):
+            seen.append(self.config)
+            raise _Captured
+
+        monkeypatch.setattr(Achilles, "extract_clients", record)
+        return seen
+
+    def _assert_shared(self, config, cache_dir):
+        assert config.shards == 2
+        assert config.transport == "tcp"
+        assert config.hosts == ("a:1", "b:2")
+        assert config.on_worker_loss == "recover"
+        for engine in (config.client_engine, config.server_engine):
+            assert engine.search_order == "bfs"
+            assert engine.max_paths == 7
+        assert config.cache_dir == cache_dir
+        assert config.progress is True
+
+    @pytest.mark.parametrize("experiment", sorted(_EXPERIMENTS))
+    def test_experiment_flags_reach_the_config(self, configs, tmp_path,
+                                               experiment):
+        cache_dir, run_dir, trace_dir = (str(tmp_path / name) for name in
+                                         ("cache", "run", "trace"))
+        with pytest.raises(_Captured):
+            main([experiment, *self.SHARED, "--cache-dir", cache_dir,
+                  "--run-dir", run_dir, "--checkpoint-interval", "3",
+                  "--trace-dir", trace_dir])
+        config, = configs
+        self._assert_shared(config, cache_dir)
+        assert config.run_dir == run_dir
+        assert config.resume is False
+        assert config.checkpoint_interval == 3
+        assert config.trace_dir == trace_dir
+
+    @pytest.mark.parametrize("experiment", sorted(_EXPERIMENTS))
+    def test_resume_names_the_run_dir(self, configs, tmp_path, experiment):
+        from repro.explore.checkpoint import JOURNAL_NAME
+
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        (run_dir / JOURNAL_NAME).touch()
+        with pytest.raises(_Captured):
+            main([experiment, "--shards", "2", "--resume", str(run_dir)])
+        config, = configs
+        assert config.run_dir == str(run_dir)
+        assert config.resume is True
+
+    def test_corpus_run_flags_reach_the_config(self, configs, tmp_path):
+        cache_dir = str(tmp_path / "cache")
+        with pytest.raises(_Captured):
+            main(["corpus", "run", "--variants", "1", *self.SHARED,
+                  "--cache-dir", cache_dir])
+        config, = configs
+        self._assert_shared(config, cache_dir)
+        assert config.run_dir is None
+        assert config.trace_dir is None
