@@ -198,6 +198,7 @@ def _report_health(report) -> None:
     hit_rate = f"{report.cache_hits / queries:.1%}" if queries else "n/a"
     rows = [("solver queries", report.solver_queries),
             ("cache hit rate", hit_rate),
+            ("prefix reuses", report.prefix_reuses),
             ("disk cache hits", report.disk_hits),
             ("salvaged records", report.salvaged_records),
             ("worker failures", report.worker_failures),

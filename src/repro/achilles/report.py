@@ -96,6 +96,13 @@ class AchillesReport:
             Figure 11.
         server_paths_explored / server_paths_pruned: exploration counters
             (pruning is the §3.2 "dropped from the exploration" rule).
+        prefix_reuses: server constraint hooks whose path-condition
+            prefix the Trojan search had already seen, so its live
+            predicates and Trojan verdict came from the observer's
+            prefix trie without an engine lookup (re-execution forking
+            replays every prefix from the root). Summed over shards, it
+            depends on how the tree was split, so it stays out of the
+            JSON views.
         solver_queries: total satisfiability checks issued by the search
             (cache hits never reach the solver, so this only counts misses).
         cache_hits / cache_misses: canonical query-cache counters.
@@ -154,6 +161,7 @@ class AchillesReport:
     predicate_samples: list[tuple[int, int]] = field(default_factory=list)
     server_paths_explored: int = 0
     server_paths_pruned: int = 0
+    prefix_reuses: int = 0
     solver_queries: int = 0
     cache_hits: int = 0
     cache_misses: int = 0

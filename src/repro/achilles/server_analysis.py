@@ -77,11 +77,29 @@ class OptimizationFlags:
         return cls(False, False, False)
 
 
+class _PrefixNode:
+    """One path-condition prefix in the observer's trie.
+
+    Children are keyed by the appended constraint; expressions are
+    interned, so a step down the trie is one identity-hash lookup.
+    ``live`` is the live-predicate set after this prefix (the parent's
+    object when the last constraint dropped nothing) and ``trojan`` the
+    Trojan-feasibility verdict of the prefix, None until first needed.
+    """
+
+    __slots__ = ("children", "live", "trojan")
+
+    def __init__(self, live: frozenset[int]):
+        self.children: dict[Expr, _PrefixNode] = {}
+        self.live = live
+        self.trojan: bool | None = None
+
+
 @dataclass
 class _PathSlot:
     """Per-path search state (lives in ``PathState.observer_slot``)."""
 
-    live: set[int] = field(default_factory=set)
+    node: _PrefixNode
     samples: list[tuple[int, int]] = field(default_factory=list)
 
 
@@ -96,9 +114,14 @@ class _TrojanPathRecord:
 class TrojanSearchObserver(PathObserver):
     """The Achilles plugin: incremental Trojan search during exploration.
 
-    All solver work goes through the engine's memoized queries, so replays
-    of forked prefixes (the engine re-executes paths) cost dictionary
-    lookups, not solver calls. Below the cache, every per-path probe —
+    The engine forks by re-execution, so every path replays its prefix
+    from the root. Both per-prefix verdicts — the live-predicate set and
+    the Trojan feasibility — are pure functions of the constraint
+    sequence, so the observer memoizes them in a trie with one node per
+    path-condition prefix: a replayed prefix is one ``dict.get`` per
+    constraint and poses no engine lookup at all (``prefix_reuses``
+    counts these hooks). Only a first visit asks the engine, through its
+    canonical query cache. Below the cache, every per-path probe —
     ``pathS ∧ pathC_i`` predicate re-checks and ``pathS ∧ ⋀ negations``
     Trojan queries alike — is a ``pc + probe`` shape, which the engine's
     incremental assertion stack answers as push/pop against the path's
@@ -122,7 +145,7 @@ class TrojanSearchObserver(PathObserver):
         self._flags = flags or OptimizationFlags()
         self._combined = [p.combined(server_msg) for p in clients.predicates]
         self._negation_exprs = [n.expr for n in clients.negations]
-        self._trojan_cache: dict[tuple[tuple[Expr, ...], frozenset[int]], bool] = {}
+        self._root = _PrefixNode(frozenset(range(len(clients.predicates))))
         self._started = time.perf_counter()
         # Sharding support costs per-path bookkeeping (samples are kept
         # per path as well as in the flat stream), so it is opt-in: only
@@ -137,24 +160,34 @@ class TrojanSearchObserver(PathObserver):
         self.samples: list[tuple[int, int]] = []
         self.paths_pruned = 0
         self.paths_seen = 0
+        self.prefix_reuses = 0
 
     # -- engine hooks ---------------------------------------------------------------
 
     def on_path_start(self, ctx: ExecutionContext) -> None:
         self.paths_seen += 1
-        ctx.state.observer_slot = _PathSlot(
-            live=set(range(len(self._clients.predicates))))
+        ctx.state.observer_slot = _PathSlot(node=self._root)
 
     def on_constraint(self, ctx: ExecutionContext, constraint: Expr) -> bool:
         slot: _PathSlot = ctx.state.observer_slot
-        pc = tuple(ctx.state.constraints)
-        if self._flags.incremental_drop:
-            self._drop_dead_predicates(pc, constraint, slot)
+        parent = slot.node
+        node = parent.children.get(constraint)
+        if node is None:
+            pc = tuple(ctx.state.constraints)
+            live = parent.live
+            if self._flags.incremental_drop:
+                live = self._drop_dead_predicates(pc, constraint, live)
+            node = parent.children[constraint] = _PrefixNode(live)
+            if self._flags.prune_unreachable:
+                self._trojan_feasible(node, pc)
+        else:
+            self.prefix_reuses += 1
+        slot.node = node
+        sample = (len(ctx.state.constraints), len(node.live))
         if self._record_delta:
-            slot.samples.append((len(pc), len(slot.live)))
-        self.samples.append((len(pc), len(slot.live)))
-        if self._flags.prune_unreachable and not self._trojan_feasible(
-                pc, frozenset(slot.live)):
+            slot.samples.append(sample)
+        self.samples.append(sample)
+        if self._flags.prune_unreachable and not node.trojan:
             self.paths_pruned += 1
             return False
         return True
@@ -163,7 +196,7 @@ class TrojanSearchObserver(PathObserver):
         slot: _PathSlot = ctx.state.observer_slot
         finding = None
         if result.verdict == ACCEPTED:
-            finding = self._witness(result, frozenset(slot.live))
+            finding = self._witness(result, slot.node)
             if finding is not None:
                 self.findings.append(finding)
         if self._record_delta:
@@ -171,10 +204,11 @@ class TrojanSearchObserver(PathObserver):
                                    finding))
 
     def _witness(self, result: PathResult,
-                 live: frozenset[int]) -> TrojanFinding | None:
+                 node: _PrefixNode) -> TrojanFinding | None:
         pc = result.constraints
-        if not self._trojan_feasible(pc, live):
+        if not self._trojan_feasible(node, pc):
             return None  # accepting, but only by non-Trojan messages
+        live = node.live
         negation = self._negation_query(live)
         model = self._engine.solve(pc + negation)
         if model is None:  # pragma: no cover - guarded by trojan_feasible
@@ -206,13 +240,15 @@ class TrojanSearchObserver(PathObserver):
         return ObserverDelta(
             per_path=per_path,
             counters={"paths_seen": self.paths_seen,
-                      "paths_pruned": self.paths_pruned})
+                      "paths_pruned": self.paths_pruned,
+                      "prefix_reuses": self.prefix_reuses})
 
     def restore(self, delta: ObserverDelta,
                 path_ids: dict[tuple[bool, ...], int]) -> None:
         """Rebuild findings/samples from a canonical shard-delta merge."""
         self.paths_seen = delta.counters.get("paths_seen", 0)
         self.paths_pruned = delta.counters.get("paths_pruned", 0)
+        self.prefix_reuses = delta.counters.get("prefix_reuses", 0)
         self.samples = []
         self.findings = []
         self._per_path = []
@@ -225,22 +261,23 @@ class TrojanSearchObserver(PathObserver):
     # -- search internals --------------------------------------------------------------
 
     def _drop_dead_predicates(self, pc: tuple[Expr, ...], constraint: Expr,
-                              slot: _PathSlot) -> None:
+                              live: frozenset[int]) -> frozenset[int]:
+        """The live set after ``constraint``; ``live`` itself if none died."""
         dropped_now = [
-            index for index in sorted(slot.live)
+            index for index in sorted(live)
             if not self._engine.is_feasible(pc + self._combined[index])]
-        for index in dropped_now:
-            slot.live.discard(index)
-        if not (self._flags.use_different_from and dropped_now):
-            return
-        constraint_field = single_field_of(
-            constraint, self._server_msg, self._clients.layout)
-        if constraint_field is None:
-            return
-        for index in dropped_now:
-            for other in self._clients.different_from.droppable_with(
-                    index, constraint_field):
-                slot.live.discard(other)
+        if not dropped_now:
+            return live
+        survivors = set(live).difference(dropped_now)
+        if self._flags.use_different_from:
+            constraint_field = single_field_of(
+                constraint, self._server_msg, self._clients.layout)
+            if constraint_field is not None:
+                for index in dropped_now:
+                    survivors.difference_update(
+                        self._clients.different_from.droppable_with(
+                            index, constraint_field))
+        return frozenset(survivors)
 
     def _negation_query(self, live: frozenset[int]) -> tuple[Expr, ...]:
         """Negations of the live predicates; dropped ones are implicit."""
@@ -250,14 +287,13 @@ class TrojanSearchObserver(PathObserver):
             indices = range(len(self._negation_exprs))
         return tuple(self._negation_exprs[i] for i in indices)
 
-    def _trojan_feasible(self, pc: tuple[Expr, ...],
-                         live: frozenset[int]) -> bool:
-        key = (pc, live if self._flags.incremental_drop else frozenset())
-        cached = self._trojan_cache.get(key)
-        if cached is None:
-            cached = self._engine.is_feasible(pc + self._negation_query(live))
-            self._trojan_cache[key] = cached
-        return cached
+    def _trojan_feasible(self, node: _PrefixNode,
+                         pc: tuple[Expr, ...]) -> bool:
+        """Whether any Trojan message can follow the prefix ``pc``."""
+        if node.trojan is None:
+            node.trojan = self._engine.is_feasible(
+                pc + self._negation_query(node.live))
+        return node.trojan
 
 
 def _shard_setup(engine: Engine, server, clients: ClientPredicateSet,
@@ -429,6 +465,7 @@ def search_server(server, clients: ClientPredicateSet,
         predicate_samples=observer.samples,
         server_paths_explored=len(exploration.paths),
         server_paths_pruned=observer.paths_pruned,
+        prefix_reuses=observer.prefix_reuses,
         solver_queries=engine.solver.stats.queries,
         cache_hits=cache_stats.hits,
         cache_misses=cache_stats.misses,
@@ -478,6 +515,7 @@ def _write_run_trace(tracer, trace_dir, worker_deltas, report) -> None:
         "cache.salvaged_records": report.salvaged_records,
         "solver.queries": report.solver_queries,
         "solver.frames_reused": report.frames_reused,
+        "observer.prefix_reuses": report.prefix_reuses,
         "run.worker_failures": report.worker_failures,
         "run.prefixes_reassigned": report.prefixes_reassigned,
         "run.journal_checkpoints": report.checkpoints_written,

@@ -29,8 +29,9 @@ from repro.solver.simplify import canonical_constraint_set
 #: Cache key: the canonical frozen constraint set.
 QueryKey = frozenset
 
-#: Raw-tuple key-memo bound; ~400k keeps a full FSP run memoized with
-#: room to spare while capping memory on long-lived shared caches.
+#: Raw-tuple key-memo bound; a full FSP run memoizes about 2k distinct
+#: tuples, so 400k leaves ample room while capping memory on long-lived
+#: shared caches.
 _KEY_MEMO_LIMIT = 400_000
 
 
@@ -80,18 +81,21 @@ class QueryCache:
     def key(self, constraints: Iterable[Expr]) -> QueryKey:
         """Canonical cache key for a constraint conjunction.
 
-        Keys are memoized on the raw constraint tuple: the exploration
-        engine re-poses the same tuples constantly (path replays, the
-        per-predicate probe loops), and tuple hashing over interned
-        expressions is far cheaper than re-canonicalizing every conjunct.
+        Keys are memoized on the raw constraint tuple: a caller that
+        re-poses a tuple (e.g. a Trojan witness ``solve`` after the
+        feasibility check of the same query) pays one tuple hash over
+        interned expressions instead of re-canonicalizing every
+        conjunct. Path replays mostly skip this layer: the Trojan
+        search answers them from its prefix trie.
         Exactness comes from hash-consing — tuple equality is per-element
         identity, so distinct-but-equal ASTs cannot alias.
 
         The memo holds strong references to the raw tuples (which pin
         their expressions in the weak intern arena), so it is bounded:
         past :data:`_KEY_MEMO_LIMIT` entries it is dropped wholesale and
-        re-warms — the lookup traffic is ~97% repeats, so recovery is
-        fast and memory stays flat on arbitrarily long runs.
+        re-warms: a dropped entry costs one re-canonicalization on its
+        next use, so recovery is cheap and memory stays flat on
+        arbitrarily long runs.
         """
         if not isinstance(constraints, tuple):
             constraints = tuple(constraints)

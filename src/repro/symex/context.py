@@ -26,6 +26,7 @@ from repro.solver import ast
 from repro.solver.ast import Expr
 from repro.solver.evalmodel import evaluate
 from repro.solver.sorts import BOOL
+from repro.solver.walk import collect_vars
 from repro.symex import state as path_state
 from repro.symex.state import PathState, SentMessage
 
@@ -173,11 +174,10 @@ class ExecutionContext:
 
     def concretize(self, expr: Expr) -> int:
         """Pin ``expr`` to one concrete value consistent with the path."""
-        result = self._engine.solve(tuple(self._state.constraints))
-        if result is None:
+        model = self._engine.solve(tuple(self._state.constraints))
+        if model is None:
             raise PathInfeasible("cannot concretize on infeasible path")
-        model = dict(result)
-        for var in ast_collect(expr):
+        for var in collect_vars(expr):
             model.setdefault(var, 0)
         value = evaluate(expr, model)
         self.assume(expr.eq(value) if expr.sort != BOOL else
@@ -214,9 +214,3 @@ class ExecutionContext:
     def label(self, tag: str) -> None:
         """Record a free-form mark on the path (kept in the result)."""
         self._state.labels.append(tag)
-
-
-def ast_collect(expr: Expr):
-    from repro.solver.walk import collect_vars
-
-    return collect_vars(expr)

@@ -5,8 +5,10 @@ enumerates the feasible paths of a deterministic node program. Forking works
 by *re-execution*: when a branch is feasible both ways, the engine records
 the unexplored direction as a decision-prefix and later re-runs the program
 from scratch, replaying the prefix. Re-execution keeps the engine tiny and
-correct at the cost of repeated work; solver queries are memoized so replays
-are cheap.
+correct at the cost of repeated work: scheduled branches replay without a
+solver query, and an observer can memoize its per-prefix verdicts (the
+Achilles observer keeps a prefix trie), so a replay poses few queries; the
+ones it does pose hit the canonical cache.
 
 Solver queries flow through a layered pipeline — canonicalize → query
 cache → incremental frame stack → propagation → full search:

@@ -64,8 +64,10 @@ class PathObserver:
 
     All hooks run during *every* execution of a path, including scheduled
     replays of a forked prefix — implementations must therefore be
-    deterministic functions of the constraint sequence (memoizing solver
-    queries is the intended way to keep replays cheap).
+    deterministic functions of the constraint sequence. That also makes
+    them memoizable per prefix: keying verdicts on the constraint
+    sequence (as the Achilles observer's prefix trie does) lets a replay
+    skip its solver queries entirely.
     """
 
     def on_path_start(self, ctx: "ExecutionContext") -> None:

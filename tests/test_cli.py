@@ -18,6 +18,7 @@ class TestCli:
         assert main(["toy"]) == 0
         out = capsys.readouterr().out
         assert "Trojan finding" in out
+        assert "prefix reuses" in out
 
     def test_pbft_experiment(self, capsys):
         assert main(["pbft"]) == 0
