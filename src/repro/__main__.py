@@ -199,6 +199,7 @@ def _report_health(report) -> None:
     rows = [("solver queries", report.solver_queries),
             ("cache hit rate", hit_rate),
             ("prefix reuses", report.prefix_reuses),
+            ("model reuses", report.model_reuses),
             ("disk cache hits", report.disk_hits),
             ("salvaged records", report.salvaged_records),
             ("worker failures", report.worker_failures),

@@ -29,12 +29,17 @@ incremental assertion stack
 pipeline is canonicalize → shared query cache (identical queries) →
 per-engine frame stack (prefix-sharing queries reuse interval-propagation
 fixpoints; ``frames_reused`` / ``propagation_seconds`` on the report) →
-from-scratch search for whatever remains.
+from-scratch search for whatever remains. In front of the cache, the
+server search's prefix trie answers a SAT probe from a model it already
+holds when that model satisfies the newly appended constraint
+(``model_reuses`` on the report).
 
-Pre-processing batches its independent probes — the negation overlap
-checks and the ``differentFrom`` matrix — through one serial
+Pre-processing batches its independent probes — each predicate's
+negation overlap checks and each row of the ``differentFrom`` matrix,
+one batch per shared ``combined_i`` prefix — through one serial
 :class:`~repro.solver.service.SolverService`, so both ride one frame
-stack. The one parallel knob is ``AchillesConfig.shards``: it partitions
+stack, and a probe the batch's last SAT model satisfies needs no stack
+check. The one parallel knob is ``AchillesConfig.shards``: it partitions
 the server search's path tree across processes or hosts
 (:mod:`repro.explore`), and findings are byte-identical at any shard
 count. Use the instance as a context manager (or call

@@ -15,12 +15,12 @@ dependent fields could smuggle cross-field information past the argument
 above.
 
 Every entry is an independent query, so the matrix is built through the
-batched :class:`~repro.solver.service.SolverService` as a single probe
-batch in row-major order: each row poses the fixed
-``i_pred.combined(server_msg)`` prefix plus one negation per (j, field)
-pair. The probes ride the service's shared incremental frame stack, so a
-row's prefix propagates once, shared with the negate operator's overlap
-probes.
+batched :class:`~repro.solver.service.SolverService`, one probe batch per
+row: row *i* poses the fixed ``i_pred.combined(server_msg)`` prefix and
+probes one negation per (j, field) pair. The probes ride the service's
+shared incremental frame stack, so a row's prefix propagates once,
+shared with the negate operator's overlap probes, and a probe the row's
+last SAT model already satisfies is answered from that model.
 """
 
 from __future__ import annotations
@@ -44,7 +44,10 @@ class DifferenceStats:
     """Counters from one matrix precomputation."""
 
     pairs_checked: int = 0
+    #: Entries the service's frame stack decided.
     solver_queries: int = 0
+    #: Entries answered True from the row's last SAT model instead.
+    model_reuses: int = 0
     entries_true: int = 0
     entries_false: int = 0
     fields_skipped_dependent: int = 0
@@ -138,15 +141,13 @@ class DifferentFrom:
 
         negations = (field_negations if field_negations is not None
                      else self._field_negations(fields))
-        # The whole matrix goes out as one probe batch: every (i, j,
-        # field) entry poses ``i_pred.combined(...) + (negation,)``.
-        # Row-major order keeps each i's prefix consecutive, so the
-        # frame stack propagates a row prefix once and push/pops the
-        # negations against it.
-        probes: list[tuple[Expr, ...]] = []
-        entries: list[tuple[int, int, str]] = []
+        # One probe batch per row: every (j, field) entry of row i poses
+        # ``(negation_j,)`` against the shared ``i_pred.combined(...)``
+        # prefix, which the frame stack propagates once per row.
+        stats = self._service.solver.stats
         for i_pred in self._predicates:
-            prefix = i_pred.combined(self._server_msg)
+            probes: list[tuple[Expr, ...]] = []
+            entries: list[tuple[int, int, str]] = []
             for j_pred in self._predicates:
                 if i_pred.index == j_pred.index:
                     continue
@@ -159,18 +160,22 @@ class DifferentFrom:
                     negation_j = negations.get((j_pred.index, field))
                     if negation_j is None:
                         continue  # negate abandoned: stay conservative
-                    probes.append(prefix + (negation_j,))
+                    probes.append((negation_j,))
                     entries.append((i_pred.index, j_pred.index, field))
-        if not probes:
-            return
-        self.stats.solver_queries += len(probes)
-        answers = self._service.probe_batch((), probes)
-        for key, entry in zip(entries, answers):
-            self._table[key] = entry
-            if entry:
-                self.stats.entries_true += 1
-            else:
-                self.stats.entries_false += 1
+            if not probes:
+                continue
+            reuses_before = stats.model_reuses
+            answers = self._service.probe_batch(
+                i_pred.combined(self._server_msg), probes)
+            reuses = stats.model_reuses - reuses_before
+            self.stats.model_reuses += reuses
+            self.stats.solver_queries += len(probes) - reuses
+            for key, entry in zip(entries, answers):
+                self._table[key] = entry
+                if entry:
+                    self.stats.entries_true += 1
+                else:
+                    self.stats.entries_false += 1
 
     def _field_negations(self, fields: tuple[str, ...]) -> FieldNegations:
         """Surviving per-field negation exprs, via the negate operator."""

@@ -105,6 +105,12 @@ class AchillesReport:
             JSON views.
         solver_queries: total satisfiability checks issued by the search
             (cache hits never reach the solver, so this only counts misses).
+        model_reuses: SAT probes of the search (live-predicate re-checks
+            and Trojan verdicts) answered by a model the prefix trie
+            already held, without a cache lookup or a solver check.
+            Serial engine plus shard workers; like ``prefix_reuses`` it
+            depends on the shard split, so it stays out of the JSON
+            views.
         cache_hits / cache_misses: canonical query-cache counters.
             Achilles shares one :class:`~repro.solver.cache.QueryCache`
             across phase 1 (client extraction) and phase 2 (server
@@ -163,6 +169,7 @@ class AchillesReport:
     server_paths_pruned: int = 0
     prefix_reuses: int = 0
     solver_queries: int = 0
+    model_reuses: int = 0
     cache_hits: int = 0
     cache_misses: int = 0
     frames_reused: int = 0

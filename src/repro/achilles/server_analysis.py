@@ -44,6 +44,7 @@ from repro.obs.trace import (
 )
 from repro.solver.ast import Expr
 from repro.solver.cache import QueryCache
+from repro.solver.evalmodel import Model, satisfies
 from repro.symex.context import ExecutionContext
 from repro.symex.engine import DFS, Engine, EngineConfig, ExplorationResult
 from repro.symex.observers import ObserverDelta, PathObserver
@@ -85,14 +86,19 @@ class _PrefixNode:
     ``live`` is the live-predicate set after this prefix (the parent's
     object when the last constraint dropped nothing) and ``trojan`` the
     Trojan-feasibility verdict of the prefix, None until first needed.
+    ``models`` maps a live predicate ``i`` to a verified model of
+    ``pc + combined[i]`` when one is in hand, and ``trojan_model`` is the
+    model behind a True ``trojan`` verdict, if any.
     """
 
-    __slots__ = ("children", "live", "trojan")
+    __slots__ = ("children", "live", "models", "trojan", "trojan_model")
 
-    def __init__(self, live: frozenset[int]):
+    def __init__(self, live: frozenset[int], models: dict[int, Model]):
         self.children: dict[Expr, _PrefixNode] = {}
         self.live = live
+        self.models = models
         self.trojan: bool | None = None
+        self.trojan_model: Model | None = None
 
 
 @dataclass
@@ -120,13 +126,24 @@ class TrojanSearchObserver(PathObserver):
     sequence, so the observer memoizes them in a trie with one node per
     path-condition prefix: a replayed prefix is one ``dict.get`` per
     constraint and poses no engine lookup at all (``prefix_reuses``
-    counts these hooks). Only a first visit asks the engine, through its
-    canonical query cache. Below the cache, every per-path probe —
-    ``pathS ∧ pathC_i`` predicate re-checks and ``pathS ∧ ⋀ negations``
-    Trojan queries alike — is a ``pc + probe`` shape, which the engine's
-    incremental assertion stack answers as push/pop against the path's
-    frame: the ``pc`` prefix keeps its propagation fixpoint and only the
-    probe conjuncts are propagated per query.
+    counts these hooks).
+
+    A first visit under constraint ``c`` first tries the models the
+    parent node holds. A model of ``pc + combined[i]`` that satisfies
+    ``c`` is a model of the child's query too, so ``i`` stays live after
+    one concrete evaluation. The parent's Trojan model is reused the same
+    way: the child's live set is a subset of the parent's, so its Trojan
+    query is a sub-conjunction of the parent's plus ``c``.
+    ``SolverStats.model_reuses`` counts these answers. Every other probe
+    asks the engine through its canonical query cache, and a SAT answer
+    from the frame stack hands its model down to the child; UNSAT answers
+    only ever come from the engine. Below the cache, every per-path
+    probe — ``pathS ∧ pathC_i`` predicate re-checks and
+    ``pathS ∧ ⋀ negations`` Trojan queries alike — is a ``pc + probe``
+    shape, which the engine's incremental assertion stack answers as
+    push/pop against the path's frame: the ``pc`` prefix keeps its
+    propagation fixpoint and only the probe conjuncts are propagated per
+    query.
 
     The observer is also delta-capable (:meth:`delta` / :meth:`restore`),
     which is what lets the sharded exploration layer run one private
@@ -145,7 +162,8 @@ class TrojanSearchObserver(PathObserver):
         self._flags = flags or OptimizationFlags()
         self._combined = [p.combined(server_msg) for p in clients.predicates]
         self._negation_exprs = [n.expr for n in clients.negations]
-        self._root = _PrefixNode(frozenset(range(len(clients.predicates))))
+        self._root = _PrefixNode(frozenset(range(len(clients.predicates))),
+                                 {})
         self._started = time.perf_counter()
         # Sharding support costs per-path bookkeeping (samples are kept
         # per path as well as in the flat stream), so it is opt-in: only
@@ -174,12 +192,18 @@ class TrojanSearchObserver(PathObserver):
         node = parent.children.get(constraint)
         if node is None:
             pc = tuple(ctx.state.constraints)
-            live = parent.live
+            live, models = parent.live, parent.models
             if self._flags.incremental_drop:
-                live = self._drop_dead_predicates(pc, constraint, live)
-            node = parent.children[constraint] = _PrefixNode(live)
+                live, models = self._drop_dead_predicates(pc, constraint,
+                                                          parent)
+            node = parent.children[constraint] = _PrefixNode(live, models)
             if self._flags.prune_unreachable:
-                self._trojan_feasible(node, pc)
+                model = parent.trojan_model
+                if model is not None and satisfies((constraint,), model):
+                    self._engine.solver.stats.model_reuses += 1
+                    node.trojan, node.trojan_model = True, model
+                else:
+                    self._trojan_feasible(node, pc)
         else:
             self.prefix_reuses += 1
         slot.node = node
@@ -261,14 +285,31 @@ class TrojanSearchObserver(PathObserver):
     # -- search internals --------------------------------------------------------------
 
     def _drop_dead_predicates(self, pc: tuple[Expr, ...], constraint: Expr,
-                              live: frozenset[int]) -> frozenset[int]:
-        """The live set after ``constraint``; ``live`` itself if none died."""
-        dropped_now = [
-            index for index in sorted(live)
-            if not self._engine.is_feasible(pc + self._combined[index])]
+                              parent: _PrefixNode,
+                              ) -> tuple[frozenset[int], dict[int, Model]]:
+        """The live set after ``constraint`` and the models in hand for it.
+
+        The live set is ``parent.live`` itself if none died.
+        """
+        step = (constraint,)
+        stats = self._engine.solver.stats
+        models: dict[int, Model] = {}
+        dropped_now = []
+        for index in sorted(parent.live):
+            model = parent.models.get(index)
+            if model is not None and satisfies(step, model):
+                stats.model_reuses += 1
+            else:
+                feasible, model = self._engine.feasible_model(
+                    pc + self._combined[index])
+                if not feasible:
+                    dropped_now.append(index)
+                    continue
+            if model is not None:
+                models[index] = model
         if not dropped_now:
-            return live
-        survivors = set(live).difference(dropped_now)
+            return parent.live, models
+        survivors = set(parent.live).difference(dropped_now)
         if self._flags.use_different_from:
             constraint_field = single_field_of(
                 constraint, self._server_msg, self._clients.layout)
@@ -277,7 +318,9 @@ class TrojanSearchObserver(PathObserver):
                     survivors.difference_update(
                         self._clients.different_from.droppable_with(
                             index, constraint_field))
-        return frozenset(survivors)
+        return frozenset(survivors), {index: model
+                                      for index, model in models.items()
+                                      if index in survivors}
 
     def _negation_query(self, live: frozenset[int]) -> tuple[Expr, ...]:
         """Negations of the live predicates; dropped ones are implicit."""
@@ -291,7 +334,7 @@ class TrojanSearchObserver(PathObserver):
                          pc: tuple[Expr, ...]) -> bool:
         """Whether any Trojan message can follow the prefix ``pc``."""
         if node.trojan is None:
-            node.trojan = self._engine.is_feasible(
+            node.trojan, node.trojan_model = self._engine.feasible_model(
                 pc + self._negation_query(node.live))
         return node.trojan
 
@@ -467,6 +510,7 @@ def search_server(server, clients: ClientPredicateSet,
         server_paths_pruned=observer.paths_pruned,
         prefix_reuses=observer.prefix_reuses,
         solver_queries=engine.solver.stats.queries,
+        model_reuses=engine.solver.stats.model_reuses,
         cache_hits=cache_stats.hits,
         cache_misses=cache_stats.misses,
         frames_reused=engine.solver.stats.frames_reused,
@@ -478,6 +522,7 @@ def search_server(server, clients: ClientPredicateSet,
     )
     if shard_stats is not None:
         report.solver_queries += shard_stats.queries
+        report.model_reuses += shard_stats.model_reuses
         report.frames_reused += shard_stats.frames_reused
         report.propagation_seconds += shard_stats.propagation_seconds
         report.worker_failures = sharded.worker_failures
@@ -514,6 +559,7 @@ def _write_run_trace(tracer, trace_dir, worker_deltas, report) -> None:
         "cache.disk_hits": report.disk_hits,
         "cache.salvaged_records": report.salvaged_records,
         "solver.queries": report.solver_queries,
+        "solver.model_reuses": report.model_reuses,
         "solver.frames_reused": report.frames_reused,
         "observer.prefix_reuses": report.prefix_reuses,
         "run.worker_failures": report.worker_failures,

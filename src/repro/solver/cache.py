@@ -154,15 +154,6 @@ class QueryCache:
         self.stats.misses += 1
         return False, None
 
-    def peek_model(self, key: QueryKey) -> dict[Expr, int] | None:
-        """Stored model for ``key`` without touching the hit/miss counters.
-
-        For bookkeeping re-reads of an entry the caller just stored (e.g.
-        batch followers completing their leader's model); returns None
-        both for unsat entries and absent keys.
-        """
-        return self._models.get(key)
-
     def put_model(self, key: QueryKey, model: dict[Expr, int] | None) -> None:
         self._models[key] = model
         self._feasible[key] = model is not None

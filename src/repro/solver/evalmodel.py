@@ -99,3 +99,18 @@ def all_hold(constraints: Iterable[Expr], model: Model) -> bool:
     """True iff every constraint holds under ``model`` (shared eval cache)."""
     cache: dict[Expr, int] = {}
     return all(holds(c, model, cache) for c in constraints)
+
+
+def satisfies(constraints: Iterable[Expr], model: Model) -> bool:
+    """True iff every constraint holds under ``model``.
+
+    Unlike :func:`all_hold`, a variable the model does not assign makes
+    the answer False instead of raising: the caller is asking whether a
+    model it already holds proves ``constraints`` satisfiable, and a
+    partial model proves nothing.
+    """
+    cache: dict[Expr, int] = {}
+    try:
+        return all(_eval(c, model, cache) for c in constraints)
+    except SolverError:
+        return False

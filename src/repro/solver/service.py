@@ -1,12 +1,14 @@
 """Batched solver dispatch: the serial batch surface of the query pipeline.
 
 Two Achilles pre-processing loops pose *independent* queries in bulk
-against one shared prefix: the pairwise ``differentFrom`` matrix and the
-per-predicate/per-field negation overlap probes (§3.3, §4.1).
-:class:`SolverService` gives them one batched surface:
+against one shared prefix: each row of the pairwise ``differentFrom``
+matrix and each predicate's per-field negation overlap probes (§3.3,
+§4.1). :class:`SolverService` gives them one batched surface:
 
 * :meth:`SolverService.probe_batch` — feasibility of ``prefix + probe_i``
-  for many probes against one shared prefix (the push/pop shape);
+  for many probes against one shared prefix (the push/pop shape); a
+  probe that the batch's last SAT model already satisfies is answered
+  from that model without touching the frame stack;
 * :meth:`SolverService.check_batch` — full :class:`SatResult` (including a
   model) for each of many independent constraint conjunctions.
 
@@ -26,6 +28,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.solver.ast import Expr
+from repro.solver.evalmodel import satisfies
 from repro.solver.incremental import IncrementalSolver
 from repro.solver.solver import SatResult, Solver
 
@@ -51,11 +54,25 @@ class SolverService:
         """Feasibility of ``prefix + probe`` for every probe, in order.
 
         Each probe is a tuple of extra conjuncts pushed/popped against the
-        shared prefix frames.
+        shared prefix frames. Every model the stack returns in this batch
+        satisfies ``prefix``, so a probe whose own conjuncts the batch's
+        last SAT model satisfies is SAT without a stack check
+        (``SolverStats.model_reuses`` counts these). UNSAT answers always
+        come from the stack.
         """
         prefix = tuple(prefix)
-        return [self.incremental.check(prefix + tuple(probe)).is_sat
-                for probe in probes]
+        answers = []
+        model = None
+        for probe in probes:
+            if model is not None and satisfies(probe, model):
+                self.solver.stats.model_reuses += 1
+                answers.append(True)
+                continue
+            result = self.incremental.check(prefix + tuple(probe))
+            if result.is_sat:
+                model = result.model
+            answers.append(result.is_sat)
+        return answers
 
     def check_batch(self, queries: Sequence[Sequence[Expr]]) -> list[SatResult]:
         """Full results (with models) for independent queries, in order."""

@@ -93,6 +93,11 @@ class SolverStats:
     queries answered by the propagation-contradiction and verified-candidate
     fast paths, wall clock spent in incremental propagation, and queries
     that fell back to a from-scratch :meth:`Solver.check`.
+
+    ``model_reuses`` counts SAT probes answered by evaluating a model
+    already in hand — a verified model of a weaker query — instead of
+    asking the cache or the frame stack (the Trojan search's prefix trie
+    and :meth:`~repro.solver.service.SolverService.probe_batch`).
     """
 
     queries: int = 0
@@ -114,6 +119,7 @@ class SolverStats:
     quick_sats: int = 0
     quick_unsats: int = 0
     incremental_fallbacks: int = 0
+    model_reuses: int = 0
 
     # -- aggregation ---------------------------------------------------------
     #

@@ -24,6 +24,13 @@ cache → incremental frame stack → propagation → full search:
   differing suffix is re-propagated, and most answers resolve from the
   propagated domains without the from-scratch search.
 
+Above the cache sits one more, caller-side tier: :meth:`Engine.feasible_model`
+hands back the stack's verified model of a SAT miss, and a caller that
+keeps it (the Achilles observer's prefix trie) answers a later probe
+whose extra conjuncts that model satisfies with one concrete evaluation
+— no lookup at all. These models are never cached; UNSAT answers only
+ever come from the stack or the from-scratch search.
+
 The engine is deliberately policy-free. Accept/reject classification
 defaults follow the paper (§5.1): a server path that sent a reply is
 *accepting*, a path that fell back to waiting for input is *rejecting* —
@@ -236,26 +243,41 @@ class Engine:
 
     def is_feasible(self, constraints: tuple[Expr, ...]) -> bool:
         """Satisfiability of a path condition, memoized canonically."""
+        return self.feasible_model(constraints)[0]
+
+    def feasible_model(self, constraints: tuple[Expr, ...],
+                       ) -> tuple[bool, dict[Expr, int] | None]:
+        """Satisfiability plus, when the frame stack proved it, a model.
+
+        The answer takes the same canonical-cache path as
+        :meth:`is_feasible`. The model is the stack's verified model of
+        ``constraints`` when this call solved a SAT miss, and None on a
+        cache hit or an UNSAT answer. Only the verdict is cached: a
+        witness :meth:`solve` always computes its own model.
+        """
         tracer = obs_trace.active
         if tracer is None:
             return self._feasibility(constraints)
         with tracer.span("solver.cache"):
             return self._feasibility(constraints)
 
-    def _feasibility(self, constraints: tuple[Expr, ...]) -> bool:
+    def _feasibility(self, constraints: tuple[Expr, ...],
+                     ) -> tuple[bool, dict[Expr, int] | None]:
         cache = self.query_cache
         key = cache.key(constraints)
         cached = cache.get_feasible(key)
         if cached is not None:
             self._note_cache_hit(key)
-            return cached
+            return cached, None
         self.solver.stats.cache_misses += 1
+        model = None
         if cache.is_trivially_unsat(key):
             feasible = False
         else:
-            feasible = self._check(constraints).is_sat
+            result = self._check(constraints)
+            feasible, model = result.is_sat, result.model
         cache.put_feasible(key, feasible)
-        return feasible
+        return feasible, model
 
     def branch_feasibility(self, pc: tuple[Expr, ...],
                            condition: Expr) -> tuple[bool, bool]:

@@ -8,7 +8,8 @@ findings (decisions and witnesses), the Figure 11 samples and the
 pruned-path count — under every optimization setting, serially and
 sharded. The replay-cost tests pin what the trie saves: a replayed
 prefix asks the engine nothing, and the serial FSP hunt's cache traffic
-shrinks to first visits while misses and frame reuse stay put.
+shrinks to first visits that the models carried down the trie cannot
+answer.
 """
 
 import json
@@ -187,9 +188,9 @@ class TestReferenceParity:
 class TestReplayCost:
     def test_serial_fsp_lookups_shrink_to_first_visits(self):
         report = _fsp(OptimizationFlags())
-        assert report.cache_misses == 1927
-        assert report.frames_reused == 24142
-        assert report.cache_hits + report.cache_misses == 2592
+        assert report.cache_misses == 1544
+        assert report.frames_reused == 19002
+        assert report.cache_hits + report.cache_misses == 1768
         assert len(report.predicate_samples) == 4930
         assert report.prefix_reuses == 4298
 
@@ -225,9 +226,9 @@ class TestReplayCost:
         class CountingEngine(Engine):
             calls = 0
 
-            def is_feasible(self, constraints):
+            def feasible_model(self, constraints):
                 self.calls += 1
-                return super().is_feasible(constraints)
+                return super().feasible_model(constraints)
 
         class HookTally(TrojanSearchObserver):
             """Records the engine calls each constraint hook made."""
@@ -279,3 +280,36 @@ class TestPrefixReusesReporting:
         report = corpus.results[0].outcome.report
         assert report.prefix_reuses > 0
         assert "prefix_reuses" not in json.dumps(report_to_dict(report))
+
+
+class TestModelReuses:
+    def test_serial_fsp_count(self):
+        # 512 live-predicate re-checks and 312 Trojan verdicts answered
+        # by a model the parent node held.
+        assert _fsp(OptimizationFlags()).model_reuses == 824
+
+    def test_sharded_count_folds_worker_stats(self, sharded_fsp):
+        assert sharded_fsp.model_reuses > 0
+
+    def test_no_reuse_without_incremental_drop_or_pruning(self):
+        # Both reuse sites need a parent node's models: the drop probes
+        # and the first-visit Trojan verdicts are where they come from.
+        report = _toy(OptimizationFlags.all_off())
+        assert report.findings
+        assert report.model_reuses == 0
+
+    def test_trace_trailer_counts_model_reuses(self, tmp_path):
+        report = _toy(OptimizationFlags(), trace_dir=str(tmp_path))
+        assert report.model_reuses > 0
+        records = read_trace(tmp_path / TRACE_FILE_NAME).records
+        trailer = next(r for r in records if r["kind"] == "metrics")
+        counters = trailer["attrs"]["counters"]
+        assert counters["solver.model_reuses"] == report.model_reuses
+
+    def test_json_views_leave_it_out(self):
+        # Like prefix_reuses, the sharded value depends on the split.
+        corpus = run_corpus(only=(CORPUS_VARIANTS[0].token,))
+        assert "model_reuses" not in json.dumps(corpus_payload(corpus))
+        report = corpus.results[0].outcome.report
+        assert report.model_reuses > 0
+        assert "model_reuses" not in json.dumps(report_to_dict(report))

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 from repro.errors import SolverError
 from repro.solver import ast
 from repro.solver.ast import bool_var, bv_const, bv_var, ite, not_, or_, ult
-from repro.solver.evalmodel import all_hold, evaluate, holds
+from repro.solver.evalmodel import all_hold, evaluate, holds, satisfies
 
 X = bv_var("x", 8)
 Y = bv_var("y", 8)
@@ -55,6 +55,28 @@ class TestHolds:
         constraints = [ult(X, Y), not_(ult(Y, X))]
         assert all_hold(constraints, {X: 1, Y: 2})
         assert not all_hold(constraints, {X: 2, Y: 1})
+
+
+class TestSatisfies:
+    def test_true_iff_every_conjunct_holds(self):
+        constraints = (ult(X, Y), not_(ult(Y, X)))
+        assert satisfies(constraints, {X: 1, Y: 2})
+        assert not satisfies(constraints, {X: 2, Y: 1})
+        assert not satisfies((ult(X, Y), ast.eq(X, bv_const(7, 8))),
+                             {X: 1, Y: 2})
+
+    def test_empty_conjunction_holds(self):
+        assert satisfies((), {})
+
+    def test_unassigned_variable_is_no_proof(self):
+        # A partial model proves nothing: False, not an exception, and
+        # never a default of 0 (x = 0 would satisfy this one).
+        assert not satisfies((ult(X, Y),), {Y: 5})
+        assert not satisfies((ult(X, Y),), {})
+
+    def test_unassigned_variable_after_a_failing_conjunct(self):
+        assert not satisfies((ast.eq(Y, bv_const(1, 8)), ult(X, Y)),
+                             {Y: 5})
 
 
 _BIN_OPS = ["add", "sub", "mul", "udiv", "urem", "bvand", "bvor", "bvxor",

@@ -208,6 +208,38 @@ class TestRandomizedAgreement:
                 assert all_hold(stack, result.model)
 
 
+class TestHistoryIndependence:
+    """``check(q)`` is a pure function of ``q``: status *and* model.
+
+    Callers reuse the models the stack hands out (the Trojan search's
+    prefix trie, the batch surface), which changes which queries run
+    before a witness is solved. Witnesses stay byte-identical only
+    because no earlier query can leak into a later answer: a push from
+    an equal parent state is deterministic, and pop restores exactly.
+    """
+
+    @pytest.mark.parametrize("seed", [30, 31, 32, 33])
+    def test_model_same_on_fresh_stack_and_after_history(self, seed):
+        rng = random.Random(seed)
+        pool = _conjunct_pool(rng)
+        inc = IncrementalSolver()
+        sat = 0
+        for _ in range(40):
+            query = tuple(rng.choice(pool)
+                          for _ in range(rng.randint(1, 6)))
+            # Prior queries share a random part of the query's prefix.
+            for _ in range(rng.randint(1, 4)):
+                shared = query[:rng.randint(0, len(query))]
+                inc.check(shared + tuple(rng.choice(pool)
+                                         for _ in range(rng.randint(0, 3))))
+            fresh = IncrementalSolver().check(query)
+            again = inc.check(query)
+            assert again.status == fresh.status, query
+            assert again.model == fresh.model, query
+            sat += fresh.is_sat
+        assert 0 < sat < 40, "both answers must occur for this to bite"
+
+
 class TestTrailDomains:
     def test_undo_restores_exact_state(self):
         domains = TrailDomains({X: Interval(0, 255), Y: Interval(0, 255)})

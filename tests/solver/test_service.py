@@ -156,6 +156,58 @@ class TestSerialBackend:
         assert SolverService().probe_batch(
             (), [(eq(X, bv_const(5, 8)),)]) == [True]
 
+    def test_probe_answered_by_the_last_sat_model(self):
+        service = SolverService()
+        prefix = (ast.ult(X, bv_const(10, 8)), eq(Y, bv_const(3, 8)))
+        stats = service.solver.stats
+        answers = service.probe_batch(prefix, [(ne(X, bv_const(200, 8)),),
+                                               (ast.ult(X, bv_const(5, 8)),
+                                                ne(Y, bv_const(9, 8))),
+                                               ()])
+        assert answers == [True, True, True]
+        # Only the first probe reached the stack: the prefix plus its one
+        # conjunct were pushed, and its model answered the other two.
+        assert stats.frames_pushed == len(prefix) + 1
+        assert stats.queries == 1
+        assert stats.model_reuses == 2
+
+    def test_probe_on_an_unassigned_variable_goes_to_the_stack(self):
+        service = SolverService()
+        prefix = (ast.ult(X, bv_const(10, 8)),)
+        stats = service.solver.stats
+        answers = service.probe_batch(prefix, [(ne(X, bv_const(200, 8)),),
+                                               (ast.ult(Z, bv_const(9, 8)),)])
+        assert answers == [True, True]
+        # z is absent from the first model: no default of 0, a real check.
+        assert stats.model_reuses == 0
+        assert stats.queries == 2
+
+    def test_unsat_probe_never_answered_from_a_model(self):
+        service = SolverService()
+        prefix = (ast.ult(X, bv_const(10, 8)),)
+        stats = service.solver.stats
+        answers = service.probe_batch(prefix, [(),
+                                               (eq(X, bv_const(20, 8)),),
+                                               (ast.ugt(X, bv_const(9, 8)),),
+                                               ()])
+        assert answers == [True, False, False, True]
+        assert stats.unsat_answers == 2
+        assert stats.model_reuses == 1
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_random_batches_agree_with_scratch(self, seed):
+        rng = random.Random(seed)
+        service = SolverService()
+        for _ in range(12):
+            prefix = _random_query(rng)[:rng.randint(0, 2)]
+            probes = [_random_query(rng)[:rng.randint(0, 2)]
+                      for _ in range(rng.randint(1, 8))]
+            answers = service.probe_batch(prefix, probes)
+            assert answers == [
+                Solver().is_satisfiable(list(prefix + probe))
+                for probe in probes], (prefix, probes)
+        assert service.solver.stats.model_reuses > 0
+
     def test_batch_methods_defined_on_the_class(self):
         # Layer-timing probes patch these by name on the class itself.
         assert callable(vars(SolverService)["probe_batch"])

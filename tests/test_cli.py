@@ -20,6 +20,12 @@ class TestCli:
         assert "Trojan finding" in out
         assert "prefix reuses" in out
 
+    def test_toy_run_health_shows_model_reuses(self, capsys):
+        assert main(["toy"]) == 0
+        rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+        reuses = next(row for row in rows if row[:2] == ["model", "reuses"])
+        assert int(reuses[2]) > 0
+
     def test_pbft_experiment(self, capsys):
         assert main(["pbft"]) == 0
         out = capsys.readouterr().out
