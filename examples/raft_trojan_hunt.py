@@ -24,10 +24,7 @@ import argparse
 
 from repro.bench.experiments import make_engine_config, run_raft_accuracy
 from repro.bench.tables import format_table
-from repro.systems.raft import (
-    classify_message,
-    run_truncation_attack,
-)
+from repro.systems.raft import CANONICAL, run_truncation_attack
 
 
 def main() -> None:
@@ -87,7 +84,7 @@ def main() -> None:
     for finding in report.findings:
         marker = (" [erases committed entries]"
                   if "truncates-committed" in finding.labels else "")
-        print(f"  {classify_message(finding.witness)}  "
+        print(f"  {CANONICAL.classify(finding.witness)}  "
               f"wire={finding.witness.hex()}{marker}")
 
     print("\nDetonating one stale-term AppendEntries on a live follower:")

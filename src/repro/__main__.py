@@ -133,9 +133,9 @@ def _run_pbft(run: dict) -> int:
     return 0
 
 
-def _print_scored(title: str, outcome, classify_message) -> int:
-    """A seeded-ground-truth run: accuracy table, health, one line per
-    finding; returns the run's exit status."""
+def _print_scored(title: str, outcome, variant) -> int:
+    """A seeded-ground-truth run of a template system: accuracy table,
+    health, one line per finding; returns the run's exit status."""
     total = outcome.classes_total
     print(format_table(
         ["metric", "seeded", "here"],
@@ -149,38 +149,36 @@ def _print_scored(title: str, outcome, classify_message) -> int:
         title=title))
     _report_health(outcome.report)
     for finding in outcome.report.findings:
-        print(f"  {classify_message(finding.witness)}  "
+        print(f"  {variant.classify(finding.witness)}  "
               f"wire={finding.witness.hex()}")
     return _scored_exit(outcome)
 
 
 def _run_raft(run: dict) -> int:
     from repro.bench.experiments import run_raft_accuracy
-    from repro.systems.raft import classify_message
+    from repro.systems import raft
 
     return _print_scored("Raft follower ingress vs seeded ground truth",
-                         run_raft_accuracy(**run), classify_message)
+                         run_raft_accuracy(**run), raft.CANONICAL)
 
 
 def _run_tpc(run: dict) -> int:
     from repro.bench.experiments import run_tpc_accuracy
-    from repro.systems.tpc import classify_message
+    from repro.systems import tpc
 
     return _print_scored(
         "Two-phase-commit participant vs seeded ground truth",
-        run_tpc_accuracy(**run), classify_message)
+        run_tpc_accuracy(**run), tpc.CANONICAL)
 
 
 def _run_broadcast(run: dict) -> int:
     from repro.bench.experiments import run_broadcast_accuracy
-    from repro.systems.broadcast import (
-        classify_message,
-        run_forged_delivery_demo,
-    )
+    from repro.systems import broadcast
 
     status = _print_scored("Bracha broadcast node vs seeded ground truth",
-                           run_broadcast_accuracy(**run), classify_message)
-    demo = run_forged_delivery_demo()
+                           run_broadcast_accuracy(**run),
+                           broadcast.CANONICAL)
+    demo = broadcast.run_forged_delivery_demo()
     print(f"concrete impact: buggy node delivered "
           f"{demo.delivered:#04x} from a forged slot; strict control "
           f"node delivered {demo.control_delivered}")

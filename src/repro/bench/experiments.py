@@ -249,34 +249,43 @@ def _scored_accuracy_run(layout, destination: str | None, clients, server,
     )
 
 
-def run_raft_accuracy(**run) -> AccuracyOutcome:
-    """Raft follower ingress vs the 9 seeded Trojan classes.
+def run_variant_accuracy(variant, **run) -> AccuracyOutcome:
+    """One template system hunted and scored against its own oracle.
 
-    Scores Achilles against :mod:`repro.systems.raft.ground_truth`
-    (8 stale-term AppendEntries classes + 1 vote off-by-one); a perfect
-    run has ``precision == recall == 1.0``.
+    ``variant`` is a :class:`repro.corpus.SystemVariant`: a system's
+    canonical point or a seeded corpus draw. A perfect run has
+    ``precision == recall == 1.0``.
     """
-    from repro.systems import raft
+    from repro.corpus.templates import bound_ground_truth
 
     return _scored_accuracy_run(
-        raft.RAFT_LAYOUT, "follower", raft.peer_clients(),
-        raft.raft_follower, raft.GroundTruth,
-        len(raft.all_trojan_classes()), **run)
+        variant.layout, variant.destination, variant.clients,
+        variant.server, bound_ground_truth(variant), len(variant.classes),
+        **run)
+
+
+def run_raft_accuracy(**run) -> AccuracyOutcome:
+    """Raft follower ingress vs its 9 seeded Trojan classes (8
+    stale-term AppendEntries classes + 1 vote off-by-one)."""
+    from repro.systems import raft
+
+    return run_variant_accuracy(raft.CANONICAL, **run)
+
+
+def run_tpc_accuracy(**run) -> AccuracyOutcome:
+    """Two-phase-commit participant vs its 2 seeded Trojan classes
+    (ack-without-WAL + empty-op prepare)."""
+    from repro.systems import tpc
+
+    return run_variant_accuracy(tpc.CANONICAL, **run)
 
 
 def run_broadcast_accuracy(**run) -> AccuracyOutcome:
-    """Bracha broadcast node ingress vs the 7 seeded Trojan classes.
-
-    Scores Achilles against :mod:`repro.systems.broadcast.ground_truth`
-    (1 forged-sender SEND class + 6 thin-quorum READY certificates); a
-    perfect run has ``precision == recall == 1.0``.
-    """
+    """Bracha broadcast node ingress vs its 7 seeded Trojan classes (1
+    forged-sender SEND class + 6 thin-quorum READY certificates)."""
     from repro.systems import broadcast
 
-    return _scored_accuracy_run(
-        broadcast.BROADCAST_LAYOUT, "node", broadcast.peer_clients(),
-        broadcast.broadcast_node, broadcast.GroundTruth,
-        len(broadcast.all_trojan_classes()), **run)
+    return run_variant_accuracy(broadcast.CANONICAL, **run)
 
 
 def run_corpus(corpus_seed: int = 0, variants: int = 12,
@@ -297,7 +306,6 @@ def run_corpus(corpus_seed: int = 0, variants: int = 12,
     from repro.corpus import (
         CorpusOutcome,
         VariantOutcome,
-        bound_ground_truth,
         generate_corpus,
         parse_variant_token,
     )
@@ -306,27 +314,8 @@ def run_corpus(corpus_seed: int = 0, variants: int = 12,
         systems = [parse_variant_token(token) for token in only]
     else:
         systems = generate_corpus(corpus_seed, variants, templates)
-    results = []
-    for variant in systems:
-        outcome = _scored_accuracy_run(
-            variant.layout, variant.destination, variant.clients,
-            variant.server, bound_ground_truth(variant),
-            len(variant.classes), **run)
-        results.append(VariantOutcome(variant=variant, outcome=outcome))
+    results = [VariantOutcome(variant=variant,
+                              outcome=run_variant_accuracy(variant, **run))
+               for variant in systems]
     return CorpusOutcome(corpus_seed=None if only else corpus_seed,
                          results=results)
-
-
-def run_tpc_accuracy(**run) -> AccuracyOutcome:
-    """Two-phase-commit participant vs the 2 seeded Trojan classes.
-
-    Scores Achilles against :mod:`repro.systems.tpc.ground_truth`
-    (ack-without-WAL + empty-op prepare); a perfect run has
-    ``precision == recall == 1.0``.
-    """
-    from repro.systems import tpc
-
-    return _scored_accuracy_run(
-        tpc.TPC_LAYOUT, "participant", tpc.coordinator_clients(),
-        tpc.tpc_participant, tpc.GroundTruth,
-        len(tpc.all_trojan_classes()), **run)

@@ -1,14 +1,15 @@
 """Scenario-matrix corpus — randomized seeded-bug systems at scale.
 
-The accuracy workloads (:mod:`repro.systems.tpc`,
-:mod:`repro.systems.raft`, :mod:`repro.systems.broadcast`) each pin one
-hand-built system with known seeded bugs. This package turns each into
-a *template*: a deterministic, seed-driven generator of system variants
-that perturbs the message layout (field order, widths, reserved
-fields), the protocol constants and the injected bug subset — and
-derives the exact ground-truth oracle from the same drawn parameters,
-so precision and recall stay exactly scorable across the whole matrix
-(``python -m repro corpus run``).
+:mod:`repro.corpus.templates` holds the one implementation of each
+protocol family (two-phase commit, Raft, Bracha broadcast): a parameter
+record derives the symbolic programs and the exact ground-truth oracle.
+The hand-built workloads (:mod:`repro.systems.tpc`,
+:mod:`repro.systems.raft`, :mod:`repro.systems.broadcast`) are each
+template at one canonical record. This package also *draws* records: a
+deterministic, seed-driven generator perturbs the message layout (field
+order, widths, reserved fields), the protocol constants and the
+injected bug subset, so precision and recall stay exactly scorable
+across the whole matrix (``python -m repro corpus run``).
 """
 
 from repro.corpus.generate import (

@@ -34,7 +34,8 @@ def build_variant(template: str, seed: int) -> SystemVariant:
 def parse_variant_token(token: str) -> SystemVariant:
     """Rebuild one variant from a ``template:seed`` token."""
     template, colon, seed_text = token.partition(":")
-    if not colon or not seed_text.isdigit():
+    # ``str.isdigit`` alone admits any Unicode digit ("²", "٣").
+    if not colon or not (seed_text.isascii() and seed_text.isdigit()):
         raise ReproError(
             f"bad variant token {token!r}; expected TEMPLATE:SEED "
             "as printed in a corpus report")
@@ -50,15 +51,14 @@ def generate_corpus(corpus_seed: int = 0, variants: int = 12,
         corpus_seed: the run-level seed; everything derives from it.
         variants: how many systems to generate (at least 1: an empty
             corpus would score as a vacuous pass).
-        templates: template subset to draw from, in the given order;
-            defaults to every registered template.
+        templates: template subset to draw from, in first-seen order
+            (a repeated name counts once); defaults to every registered
+            template.
     """
     if variants < 1:
         raise ReproError(
             f"a corpus needs at least 1 variant, got {variants}")
-    names = tuple(templates) if templates else tuple(TEMPLATES)
-    if not names:
-        raise ReproError("at least one template is required")
+    names = tuple(dict.fromkeys(templates or TEMPLATES))
     for name in names:
         if name not in TEMPLATES:
             build_variant(name, 0)  # raises with the known-template list

@@ -1,20 +1,29 @@
-"""Parameterized system templates for the scenario-matrix corpus.
+"""Protocol-family templates: two-phase commit, Raft and Bracha broadcast.
 
-Each template generalizes one hand-built workload
-(:mod:`repro.systems.tpc`, :mod:`repro.systems.raft`,
-:mod:`repro.systems.broadcast`) into a family of randomized variants: a
-``random.Random(variant_seed)`` draw fixes the message layout (field
-order, widths, an optional must-be-zero reserved field), the protocol
-constants (kind bytes, ids, terms, thresholds' anchors) and the seeded
-bug subset from the system's bug menu — and the *same* drawn parameters
-derive the symbolic client/server programs **and** the exact
-ground-truth oracle, so every variant stays precisely scorable.
+Each template is the one implementation of its protocol family. A
+parameter record fixes the message layout (field order, widths, an
+optional must-be-zero reserved field), the protocol constants (kind
+bytes, ids, terms, the pinned history) and the seeded subset of the
+family's bug menu; the *same* record derives the symbolic client/server
+programs **and** the exact ground-truth oracle, so every system a
+template yields stays precisely scorable.
+
+A record comes from one of two places:
+
+* a system's *canonical point* — :mod:`repro.systems.tpc`,
+  :mod:`repro.systems.raft` and :mod:`repro.systems.broadcast` build it
+  from their ``protocol.py`` constants with the whole bug menu seeded
+  and expose the result as ``CANONICAL`` (what ``python -m repro raft``
+  hunts);
+* a *seeded draw* — ``random.Random(variant_seed)`` perturbs every
+  parameter and picks a non-empty bug subset (the scenario-matrix
+  corpus, ``python -m repro corpus run``).
 
 The node programs and oracles are callable dataclasses (not closures)
-so a variant survives pickling: sharded runs ship the server program to
+so a system survives pickling: sharded runs ship the server program to
 exploration workers, over TCP included.
 
-Variant Trojan classes are plain strings (``"prepare:skip-wal"``,
+Trojan classes are plain strings (``"prepare:skip-wal"``,
 ``"ready:thin-quorum(cert=0x05)"``): JSON-able for the corpus report,
 orderable for deterministic tables.
 """
@@ -34,10 +43,12 @@ from repro.systems.scoring import TrojanScore
 
 @dataclass
 class SystemVariant:
-    """One generated system: programs + oracle derived from one seed."""
+    """One system of a template: programs + oracle from one parameter
+    record. ``seed`` is the draw the record came from, or None at a
+    system's canonical point."""
 
     template: str
-    seed: int
+    seed: int | None
     layout: MessageLayout
     destination: str
     clients: dict[str, Callable]
@@ -51,8 +62,8 @@ class SystemVariant:
 
     @property
     def token(self) -> str:
-        """The reproduction handle: ``template:seed`` rebuilds this
-        exact variant (``python -m repro corpus run --variant TOKEN``)."""
+        """The reproduction handle of a seeded variant: ``template:seed``
+        rebuilds it (``python -m repro corpus run --variant TOKEN``)."""
         return f"{self.template}:{self.seed}"
 
 
@@ -68,21 +79,19 @@ def _popcount(mask: int) -> int:
     return bin(mask).count("1")
 
 
-def _permuted_layout(rng: random.Random, name: str,
-                     sizes: dict[str, int], pad_size: int) -> tuple:
-    """Field order permutation plus an optional reserved field.
+def _permuted_order(rng: random.Random, names: list[str],
+                    pad_size: int) -> tuple[str, ...]:
+    """Field order permutation plus an optional reserved ``pad`` field.
 
-    Returns ``(layout, field_order, pad_size)``; the reserved ``pad``
-    field (when present) must be zero on the wire — both sides check it,
-    so it perturbs offsets without perturbing the Trojan space.
+    The reserved field (when present) must be zero on the wire — both
+    sides check it, so it perturbs offsets without perturbing the Trojan
+    space.
     """
-    order = list(sizes)
+    order = list(names)
     rng.shuffle(order)
     if pad_size:
         order.insert(rng.randrange(len(order) + 1), "pad")
-        sizes = dict(sizes, pad=pad_size)
-    layout = MessageLayout(name, [Field(n, sizes[n]) for n in order])
-    return layout, tuple(order), pad_size
+    return tuple(order)
 
 
 def _const(layout: MessageLayout, name: str, value: int):
@@ -100,10 +109,32 @@ def _pad_ok(ctx, layout: MessageLayout, msg, pad_size: int) -> bool:
     return False
 
 
-def _member(layout, msg, name: str, ids: tuple[int, ...]):
-    sender = field_expr(msg, layout.view(name))
-    return ast.any_of([ast.eq(sender, _const(layout, name, node))
-                       for node in ids])
+@dataclass
+class _VariantOracle:
+    """Exact accept/generable/classify oracles of one template system.
+
+    Subclasses define ``accepts``/``generable`` (decoding through
+    :meth:`_fields`) and ``_class_of``, the class of an
+    accepted-but-ungenerable message's fields.
+    """
+
+    params: object
+
+    def _fields(self, message: bytes) -> dict | None:
+        """The decoded fields; None for a wrong-size message or a
+        nonzero reserved field."""
+        layout = self.params.build_layout()
+        if len(message) != layout.total_size:
+            return None
+        fields = decode_ints(layout, message)
+        if self.params.pad_size and fields["pad"] != 0:
+            return None
+        return fields
+
+    def classify(self, message: bytes) -> str | None:
+        if not self.accepts(message) or self.generable(message):
+            return None
+        return self._class_of(self._fields(message))
 
 
 # -- two-phase-commit template ------------------------------------------------
@@ -114,7 +145,9 @@ EMPTY_OP = "prepare:empty-op"
 
 @dataclass
 class TpcParams:
-    """Drawn constants of one two-phase-commit variant."""
+    """Constants of one two-phase-commit system: a canonical record
+    or a seeded draw. Close messages and the skipped-WAL prepare carry
+    ``flags == 0``."""
 
     field_order: tuple[str, ...]
     txid_size: int
@@ -232,19 +265,10 @@ class TpcVariantServer:
 
 
 @dataclass
-class TpcVariantOracle:
-    """Exact accept/generable/classify oracles of a tpc variant."""
+class TpcVariantOracle(_VariantOracle):
+    """Exact oracles of a tpc system."""
 
     params: TpcParams
-
-    def _fields(self, message: bytes) -> dict | None:
-        layout = self.params.build_layout()
-        if len(message) != layout.total_size:
-            return None
-        fields = decode_ints(layout, message)
-        if self.params.pad_size and fields["pad"] != 0:
-            return None
-        return fields
 
     def accepts(self, message: bytes) -> bool:
         p = self.params
@@ -274,11 +298,31 @@ class TpcVariantOracle:
             return fields["flags"] == 0 and fields["op"] == p.no_op
         return False
 
-    def classify(self, message: bytes) -> str | None:
-        if not self.accepts(message) or self.generable(message):
-            return None
-        fields = self._fields(message)
+    def _class_of(self, fields: dict) -> str:
         return SKIP_WAL if fields["flags"] == 0 else EMPTY_OP
+
+
+def tpc_variant(params: TpcParams, seed: int | None = None,
+                ) -> SystemVariant:
+    """The two-phase-commit system at ``params``."""
+    oracle = TpcVariantOracle(params)
+    return SystemVariant(
+        template="tpc", seed=seed, layout=params.build_layout(),
+        destination="participant",
+        clients={which: TpcVariantClient(params, which)
+                 for which in ("prepare", "commit", "abort")},
+        server=TpcVariantServer(params),
+        accepts=oracle.accepts, generable=oracle.generable,
+        classify=oracle.classify,
+        classes=tuple(bug for bug in (SKIP_WAL, EMPTY_OP)
+                      if bug in params.bugs),
+        bugs=params.bugs,
+        params={"field_order": list(params.field_order),
+                "txid_size": params.txid_size, "pad_size": params.pad_size,
+                "kinds": {"prepare": params.prepare,
+                          "commit": params.commit, "abort": params.abort},
+                "flag_durable": params.flag_durable, "no_op": params.no_op},
+    )
 
 
 def build_tpc_variant(seed: int) -> SystemVariant:
@@ -294,27 +338,9 @@ def build_tpc_variant(seed: int) -> SystemVariant:
         no_op=rng.randrange(256),
         bugs=_draw_bugs(rng, (SKIP_WAL, EMPTY_OP)),
     )
-    sizes = {"kind": 1, "txid": params.txid_size, "flags": 1, "op": 1}
-    _, order, _ = _permuted_layout(rng, "tpc-variant", sizes,
-                                   params.pad_size)
-    params.field_order = order
-    oracle = TpcVariantOracle(params)
-    classes = tuple(bug for bug in (SKIP_WAL, EMPTY_OP)
-                    if bug in params.bugs)
-    return SystemVariant(
-        template="tpc", seed=seed, layout=params.build_layout(),
-        destination="participant",
-        clients={which: TpcVariantClient(params, which)
-                 for which in ("prepare", "commit", "abort")},
-        server=TpcVariantServer(params),
-        accepts=oracle.accepts, generable=oracle.generable,
-        classify=oracle.classify, classes=classes, bugs=params.bugs,
-        params={"field_order": list(order), "txid_size": params.txid_size,
-                "pad_size": params.pad_size,
-                "kinds": {"prepare": params.prepare,
-                          "commit": params.commit, "abort": params.abort},
-                "flag_durable": params.flag_durable, "no_op": params.no_op},
-    )
+    params.field_order = _permuted_order(
+        rng, ["kind", "txid", "flags", "op"], params.pad_size)
+    return tpc_variant(params, seed)
 
 
 # -- raft template ------------------------------------------------------------
@@ -325,7 +351,8 @@ VOTE_OFF_BY_ONE = "vote-off-by-one"
 
 @dataclass
 class RaftParams:
-    """Drawn constants of one raft variant (history stub included)."""
+    """Constants of one raft system, history stub included: a
+    canonical record or a seeded draw. Votes carry ``cmd == 0``."""
 
     field_order: tuple[str, ...]
     pad_size: int
@@ -498,19 +525,10 @@ class RaftVariantServer:
 
 
 @dataclass
-class RaftVariantOracle:
-    """Exact accept/generable/classify oracles of a raft variant."""
+class RaftVariantOracle(_VariantOracle):
+    """Exact oracles of a raft system."""
 
     params: RaftParams
-
-    def _fields(self, message: bytes) -> dict | None:
-        layout = self.params.build_layout()
-        if len(message) != layout.total_size:
-            return None
-        fields = decode_ints(layout, message)
-        if self.params.pad_size and fields["pad"] != 0:
-            return None
-        return fields
 
     def accepts(self, message: bytes) -> bool:
         p = self.params
@@ -568,12 +586,8 @@ class RaftVariantOracle:
             return (fields["idx"], fields["logterm"]) in p.candidate_logs
         return False
 
-    def classify(self, message: bytes) -> str | None:
-        if not self.accepts(message) or self.generable(message):
-            return None
-        p = self.params
-        fields = self._fields(message)
-        if fields["type"] == p.msg_append:
+    def _class_of(self, fields: dict) -> str:
+        if fields["type"] == self.params.msg_append:
             return _stale_append_class(fields["term"], fields["idx"])
         return _vote_class(fields["idx"])
 
@@ -584,6 +598,38 @@ def _stale_append_class(term: int, index: int) -> str:
 
 def _vote_class(index: int) -> str:
     return f"{VOTE_OFF_BY_ONE}(index={index})"
+
+
+def raft_variant(params: RaftParams, seed: int | None = None,
+                 ) -> SystemVariant:
+    """The Raft system at ``params``."""
+    oracle = RaftVariantOracle(params)
+    classes = []
+    if STALE_APPEND in params.bugs:
+        classes.extend(_stale_append_class(term, index)
+                       for term in range(1, params.current_term)
+                       for index in range(params.last_index + 1))
+    if VOTE_OFF_BY_ONE in params.bugs:
+        classes.append(_vote_class(params.last_index - 1))
+    return SystemVariant(
+        template="raft", seed=seed, layout=params.build_layout(),
+        destination="follower",
+        clients={which: RaftVariantClient(params, which)
+                 for which in ("leader", "candidate")},
+        server=RaftVariantServer(params),
+        accepts=oracle.accepts, generable=oracle.generable,
+        classify=oracle.classify, classes=tuple(classes),
+        bugs=params.bugs,
+        params={"field_order": list(params.field_order),
+                "pad_size": params.pad_size,
+                "kinds": {"append": params.msg_append,
+                          "vote": params.msg_vote},
+                "node_ids": list(params.node_ids),
+                "current_term": params.current_term,
+                "log_terms": list(params.log_terms),
+                "term_leaders": list(params.term_leaders),
+                "commit_index": params.commit_index},
+    )
 
 
 def build_raft_variant(seed: int) -> SystemVariant:
@@ -598,47 +644,20 @@ def build_raft_variant(seed: int) -> SystemVariant:
     # off-by-one class is real whenever that bug is injected.
     prefix = sorted(rng.choices(range(1, current_term), k=last_index - 1))
     final = rng.randint(prefix[-1] + 1, current_term)
-    log_terms = (0, *prefix, final)
     params = RaftParams(
         field_order=(), pad_size=rng.choice([0, 1]),
         msg_append=kinds[0], msg_vote=kinds[1],
         node_ids=node_ids, current_term=current_term,
-        log_terms=log_terms,
+        log_terms=(0, *prefix, final),
         term_leaders=tuple(rng.choice(node_ids)
                            for _ in range(current_term)),
         commit_index=rng.randint(1, last_index),
         bugs=_draw_bugs(rng, (STALE_APPEND, VOTE_OFF_BY_ONE)),
     )
-    sizes = {"type": 1, "term": 1, "sender": 1, "idx": 1, "logterm": 1,
-             "cmd": 1}
-    _, order, _ = _permuted_layout(rng, "raft-variant", sizes,
-                                   params.pad_size)
-    params.field_order = order
-    oracle = RaftVariantOracle(params)
-    classes = []
-    if STALE_APPEND in params.bugs:
-        classes.extend(_stale_append_class(term, index)
-                       for term in range(1, current_term)
-                       for index in range(params.last_index + 1))
-    if VOTE_OFF_BY_ONE in params.bugs:
-        classes.append(_vote_class(params.last_index - 1))
-    return SystemVariant(
-        template="raft", seed=seed, layout=params.build_layout(),
-        destination="follower",
-        clients={which: RaftVariantClient(params, which)
-                 for which in ("leader", "candidate")},
-        server=RaftVariantServer(params),
-        accepts=oracle.accepts, generable=oracle.generable,
-        classify=oracle.classify, classes=tuple(classes),
-        bugs=params.bugs,
-        params={"field_order": list(order), "pad_size": params.pad_size,
-                "kinds": {"append": params.msg_append,
-                          "vote": params.msg_vote},
-                "node_ids": list(node_ids), "current_term": current_term,
-                "log_terms": list(log_terms),
-                "term_leaders": list(params.term_leaders),
-                "commit_index": params.commit_index},
-    )
+    params.field_order = _permuted_order(
+        rng, ["type", "term", "sender", "idx", "logterm", "cmd"],
+        params.pad_size)
+    return raft_variant(params, seed)
 
 
 # -- broadcast template -------------------------------------------------------
@@ -649,7 +668,8 @@ THIN_QUORUM = "thin-quorum"
 
 @dataclass
 class BroadcastParams:
-    """Drawn constants of one broadcast variant."""
+    """Constants of one broadcast system (``f = 1``): a canonical
+    record or a seeded draw. SEND and ECHO carry ``cert == 0``."""
 
     field_order: tuple[str, ...]
     pad_size: int
@@ -809,19 +829,15 @@ class BroadcastVariantServer:
 
 
 @dataclass
-class BroadcastVariantOracle:
-    """Exact accept/generable/classify oracles of a broadcast variant."""
+class BroadcastVariantOracle(_VariantOracle):
+    """Exact oracles of a broadcast system (every path validates the
+    recorded value and cluster membership)."""
 
     params: BroadcastParams
 
     def _fields(self, message: bytes) -> dict | None:
-        layout = self.params.build_layout()
-        if len(message) != layout.total_size:
-            return None
-        fields = decode_ints(layout, message)
-        if self.params.pad_size and fields["pad"] != 0:
-            return None
-        if fields["value"] != self.params.broadcast_value:
+        fields = super()._fields(message)
+        if fields is None or fields["value"] != self.params.broadcast_value:
             return None
         if fields["sender"] not in self.params.node_ids:
             return None
@@ -857,10 +873,7 @@ class BroadcastVariantOracle:
             return fields["cert"] in p.full_certs
         return False
 
-    def classify(self, message: bytes) -> str | None:
-        if not self.accepts(message) or self.generable(message):
-            return None
-        fields = self._fields(message)
+    def _class_of(self, fields: dict) -> str:
         if fields["kind"] == self.params.msg_send:
             return FORGED_SENDER
         return _thin_quorum_class(fields["cert"])
@@ -870,24 +883,9 @@ def _thin_quorum_class(cert: int) -> str:
     return f"ready:{THIN_QUORUM}(cert={cert:#04x})"
 
 
-def build_broadcast_variant(seed: int) -> SystemVariant:
-    """Draw one broadcast variant from ``seed``."""
-    rng = random.Random(seed)
-    kinds = rng.sample(range(1, 256), 3)
-    value_size = rng.choice([1, 2])
-    params = BroadcastParams(
-        field_order=(), pad_size=rng.choice([0, 1]),
-        value_size=value_size,
-        msg_send=kinds[0], msg_echo=kinds[1], msg_ready=kinds[2],
-        node_ids=tuple(sorted(rng.sample(range(8), 4))),
-        broadcaster=0, broadcast_value=rng.randrange(1 << (8 * value_size)),
-        bugs=_draw_bugs(rng, (FORGED_SENDER, THIN_QUORUM)),
-    )
-    params.broadcaster = rng.choice(params.node_ids)
-    sizes = {"kind": 1, "sender": 1, "value": value_size, "cert": 1}
-    _, order, _ = _permuted_layout(rng, "broadcast-variant", sizes,
-                                   params.pad_size)
-    params.field_order = order
+def broadcast_variant(params: BroadcastParams, seed: int | None = None,
+                      ) -> SystemVariant:
+    """The Bracha broadcast system at ``params``."""
     oracle = BroadcastVariantOracle(params)
     classes = []
     if FORGED_SENDER in params.bugs:
@@ -904,14 +902,34 @@ def build_broadcast_variant(seed: int) -> SystemVariant:
         accepts=oracle.accepts, generable=oracle.generable,
         classify=oracle.classify, classes=tuple(classes),
         bugs=params.bugs,
-        params={"field_order": list(order), "pad_size": params.pad_size,
-                "value_size": value_size,
+        params={"field_order": list(params.field_order),
+                "pad_size": params.pad_size,
+                "value_size": params.value_size,
                 "kinds": {"send": params.msg_send, "echo": params.msg_echo,
                           "ready": params.msg_ready},
                 "node_ids": list(params.node_ids),
                 "broadcaster": params.broadcaster,
                 "broadcast_value": params.broadcast_value},
     )
+
+
+def build_broadcast_variant(seed: int) -> SystemVariant:
+    """Draw one broadcast variant from ``seed``."""
+    rng = random.Random(seed)
+    kinds = rng.sample(range(1, 256), 3)
+    value_size = rng.choice([1, 2])
+    params = BroadcastParams(
+        field_order=(), pad_size=rng.choice([0, 1]),
+        value_size=value_size,
+        msg_send=kinds[0], msg_echo=kinds[1], msg_ready=kinds[2],
+        node_ids=tuple(sorted(rng.sample(range(8), 4))),
+        broadcaster=0, broadcast_value=rng.randrange(1 << (8 * value_size)),
+        bugs=_draw_bugs(rng, (FORGED_SENDER, THIN_QUORUM)),
+    )
+    params.broadcaster = rng.choice(params.node_ids)
+    params.field_order = _permuted_order(
+        rng, ["kind", "sender", "value", "cert"], params.pad_size)
+    return broadcast_variant(params, seed)
 
 
 def _draw_bugs(rng: random.Random,

@@ -15,9 +15,19 @@ level the Achilles analysis operates on:
   log-replication follower (stale-term AppendEntries truncation and a
   vote-granting off-by-one, both seeded);
 * :mod:`~repro.systems.tpc` — a two-phase-commit participant (malformed
-  PREPARE acked without its write-ahead record, seeded).
+  PREPARE acked without its write-ahead record, empty-op prepare, both
+  seeded);
+* :mod:`~repro.systems.broadcast` — a Bracha reliable-broadcast node
+  (forged-sender SEND and a thin-quorum READY certificate, both
+  seeded).
 
-Every system ships both *node programs* (symbolic, for Achilles) and
-*concrete nodes* (for the simulated network), built from the same
-protocol constants so findings transfer between the two.
+The toy, FSP, PBFT and Paxos packages ship their own symbolic *node
+programs* (for Achilles) next to *concrete nodes* (for the simulated
+network). Raft, 2PC and Bracha broadcast have one implementation per
+protocol family in :mod:`repro.corpus.templates`: each package builds
+its template at a canonical parameter record from its ``protocol.py``
+constants and exposes it as ``CANONICAL`` (programs plus exact oracle),
+and keeps only those constants, its concrete nodes and its impact demo.
+Symbolic and concrete sides read the same constants, so findings
+transfer between the two.
 """

@@ -12,13 +12,19 @@ seeded:
   a valid quorum is counted toward delivery (6 classes, one per thin
   certificate).
 
-As for the other systems, the symbolic node programs (for Achilles) and
-the concrete node (for the simulated network) are built from the same
-protocol constants, so findings transfer between the two.
+The symbolic programs and the exact oracle are the broadcast template
+of :mod:`repro.corpus.templates` at this system's protocol constants
+(:data:`CANONICAL`); the concrete node (for the simulated network) is
+built from the same constants, so findings transfer between the two.
 """
 
+from repro.corpus.templates import (
+    FORGED_SENDER,
+    THIN_QUORUM,
+    BroadcastParams,
+    broadcast_variant,
+)
 from repro.systems.broadcast.protocol import (
-    ACCEPTED_CERTS,
     BROADCASTER,
     BROADCAST_LAYOUT,
     BROADCAST_VALUE,
@@ -39,39 +45,36 @@ from repro.systems.broadcast.protocol import (
 from repro.systems.broadcast.nodes import (
     BroadcastNode,
     ForgedDeliveryOutcome,
-    broadcast_echoer,
     broadcast_message,
-    broadcast_node,
-    broadcast_readier,
-    broadcast_sender,
-    peer_clients,
     run_forged_delivery_demo,
 )
-from repro.systems.broadcast.ground_truth import (
-    FORGED_SENDER,
-    THIN_QUORUM,
-    BroadcastTrojanClass,
-    GroundTruth,
-    all_trojan_classes,
-    classify_message,
-    is_node_accepted,
-    is_peer_generable,
-)
+
+#: The node under test: the broadcast template at this system's
+#: constants with both bugs seeded — 7 Trojan classes.
+CANONICAL = broadcast_variant(BroadcastParams(
+    field_order=BROADCAST_LAYOUT.field_names,
+    pad_size=0,
+    value_size=BROADCAST_LAYOUT.view("value").size,
+    msg_send=MSG_SEND,
+    msg_echo=MSG_ECHO,
+    msg_ready=MSG_READY,
+    node_ids=NODE_IDS,
+    broadcaster=BROADCASTER,
+    broadcast_value=BROADCAST_VALUE,
+    bugs=(FORGED_SENDER, THIN_QUORUM),
+))
 
 __all__ = [
-    "ACCEPTED_CERTS",
     "BROADCASTER",
     "BROADCAST_LAYOUT",
     "BROADCAST_VALUE",
     "BUGGY_ECHO_THRESHOLD",
     "BroadcastNode",
-    "BroadcastTrojanClass",
+    "CANONICAL",
     "ECHO_THRESHOLD",
     "FAULTY",
-    "FORGED_SENDER",
     "FULL_CERTS",
     "ForgedDeliveryOutcome",
-    "GroundTruth",
     "MSG_ECHO",
     "MSG_READY",
     "MSG_SEND",
@@ -81,16 +84,6 @@ __all__ = [
     "NO_CERT",
     "READY_THRESHOLD",
     "THIN_CERTS",
-    "THIN_QUORUM",
-    "all_trojan_classes",
-    "broadcast_echoer",
     "broadcast_message",
-    "broadcast_node",
-    "broadcast_readier",
-    "broadcast_sender",
-    "classify_message",
-    "is_node_accepted",
-    "is_peer_generable",
-    "peer_clients",
     "run_forged_delivery_demo",
 ]

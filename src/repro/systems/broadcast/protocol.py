@@ -27,7 +27,7 @@ value field (a second ``SEND`` is checked against the recorded one, the
 standard equivocation test).
 
 Two vulnerabilities are seeded in the node
-(:func:`repro.systems.broadcast.nodes.broadcast_node`):
+(``repro.systems.broadcast.CANONICAL.server``):
 
 * **forged-sender SEND** — the identity check on the ``SEND`` path is
   weakened from ``sender == BROADCASTER`` to cluster *membership*, so
@@ -91,10 +91,6 @@ FULL_CERTS = _masks(lambda bits: bits >= ECHO_THRESHOLD)
 #: The seeded thin certificates: exactly ``2f`` member bits — one echo
 #: short of a valid quorum, accepted only because of the off-by-one.
 THIN_CERTS = _masks(lambda bits: bits == BUGGY_ECHO_THRESHOLD)
-
-#: Everything the *buggy* node accepts on the ``READY`` path, in
-#: ascending order (the symbolic program enumerates these).
-ACCEPTED_CERTS = _masks(lambda bits: bits >= BUGGY_ECHO_THRESHOLD)
 
 BROADCAST_LAYOUT = MessageLayout("broadcast", [
     Field("kind", 1),

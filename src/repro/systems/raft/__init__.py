@@ -12,11 +12,18 @@ follower's RPC ingress. Two Trojan families are seeded:
   ``lastLogIndex + 1 >= LAST_INDEX``, electing a candidate whose log is
   one entry short of the follower's (1 class).
 
-As for the other systems, the symbolic node programs (for Achilles) and
-the concrete follower (for the simulated network) are built from the
-same protocol constants, so findings transfer between the two.
+The symbolic programs and the exact oracle are the raft template of
+:mod:`repro.corpus.templates` at this system's protocol constants
+(:data:`CANONICAL`); the concrete follower (for the simulated network)
+is built from the same constants, so findings transfer between the two.
 """
 
+from repro.corpus.templates import (
+    STALE_APPEND,
+    VOTE_OFF_BY_ONE,
+    RaftParams,
+    raft_variant,
+)
 from repro.systems.raft.protocol import (
     CANDIDATE_LOGS,
     COMMIT_INDEX,
@@ -31,12 +38,6 @@ from repro.systems.raft.protocol import (
     TERM_LEADERS,
     VOTE_PADDING,
 )
-from repro.systems.raft.nodes import (
-    peer_clients,
-    raft_candidate,
-    raft_follower,
-    raft_leader,
-)
 from repro.systems.raft.cluster import (
     LogEntry,
     RaftFollowerNode,
@@ -44,22 +45,28 @@ from repro.systems.raft.cluster import (
     append_message,
     run_truncation_attack,
 )
-from repro.systems.raft.ground_truth import (
-    GroundTruth,
-    RaftTrojanClass,
-    STALE_APPEND,
-    VOTE_OFF_BY_ONE,
-    all_trojan_classes,
-    classify_message,
-    is_follower_accepted,
-    is_peer_generable,
-)
+
+#: The follower under test: the raft template at this system's
+#: constants with both bugs seeded — 9 Trojan classes.
+CANONICAL = raft_variant(RaftParams(
+    field_order=RAFT_LAYOUT.field_names,
+    pad_size=0,
+    msg_append=MSG_APPEND,
+    msg_vote=MSG_VOTE,
+    node_ids=NODE_IDS,
+    current_term=CURRENT_TERM,
+    log_terms=LOG_TERMS,
+    term_leaders=tuple(TERM_LEADERS[term]
+                       for term in range(1, CURRENT_TERM + 1)),
+    commit_index=COMMIT_INDEX,
+    bugs=(STALE_APPEND, VOTE_OFF_BY_ONE),
+))
 
 __all__ = [
     "CANDIDATE_LOGS",
+    "CANONICAL",
     "COMMIT_INDEX",
     "CURRENT_TERM",
-    "GroundTruth",
     "LAST_INDEX",
     "LAST_TERM",
     "LOG_TERMS",
@@ -69,20 +76,9 @@ __all__ = [
     "NODE_IDS",
     "RAFT_LAYOUT",
     "RaftFollowerNode",
-    "RaftTrojanClass",
-    "STALE_APPEND",
     "TERM_LEADERS",
     "TruncationOutcome",
-    "VOTE_OFF_BY_ONE",
     "VOTE_PADDING",
-    "all_trojan_classes",
     "append_message",
-    "classify_message",
-    "is_follower_accepted",
-    "is_peer_generable",
-    "peer_clients",
-    "raft_candidate",
-    "raft_follower",
-    "raft_leader",
     "run_truncation_attack",
 ]

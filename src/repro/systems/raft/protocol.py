@@ -20,7 +20,7 @@ correct peer's log is one of :data:`CANDIDATE_LOGS` (every correct node
 holds at least the committed prefix and at most the full log).
 
 Two vulnerabilities are seeded in the follower
-(:func:`repro.systems.raft.nodes.raft_follower`):
+(``repro.systems.raft.CANONICAL.server``):
 
 * **stale-term AppendEntries** — the follower never rejects
   ``term < CURRENT_TERM``, so an AppendEntries from a deposed leader is

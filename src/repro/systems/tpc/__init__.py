@@ -11,10 +11,13 @@ participants. The seeded vulnerability family lives on the participant's
 * **empty-op** — the operation payload is never validated, so the empty
   operation (which no correct coordinator prepares) is logged and acked.
 
-Symbolic node programs (for Achilles) and the concrete participant (for
-the simulated network) are built from the same protocol constants.
+The symbolic programs and the exact oracle are the tpc template of
+:mod:`repro.corpus.templates` at this system's protocol constants
+(:data:`CANONICAL`); the concrete participant (for the simulated
+network) is built from the same constants.
 """
 
+from repro.corpus.templates import EMPTY_OP, SKIP_WAL, TpcParams, tpc_variant
 from repro.systems.tpc.protocol import (
     ABORT,
     ACK_PREPARED,
@@ -29,50 +32,37 @@ from repro.systems.tpc.nodes import (
     LostWriteOutcome,
     TpcParticipantNode,
     WalRecord,
-    coordinator_clients,
     prepare_message,
     run_lost_write_demo,
-    tpc_abort,
-    tpc_commit,
-    tpc_participant,
-    tpc_prepare,
 )
-from repro.systems.tpc.ground_truth import (
-    EMPTY_OP,
-    GroundTruth,
-    SKIP_WAL,
-    TpcTrojanClass,
-    all_trojan_classes,
-    classify_message,
-    is_coordinator_generable,
-    is_participant_accepted,
-)
+
+#: The participant under test: the tpc template at this system's
+#: constants with both bugs seeded — 2 Trojan classes.
+CANONICAL = tpc_variant(TpcParams(
+    field_order=TPC_LAYOUT.field_names,
+    txid_size=TPC_LAYOUT.view("txid").size,
+    pad_size=0,
+    prepare=PREPARE,
+    commit=COMMIT,
+    abort=ABORT,
+    flag_durable=FLAG_DURABLE,
+    no_op=NO_OP,
+    bugs=(SKIP_WAL, EMPTY_OP),
+))
 
 __all__ = [
     "ABORT",
     "ACK_PREPARED",
+    "CANONICAL",
     "COMMIT",
-    "EMPTY_OP",
     "FLAG_DURABLE",
     "FLAG_NONE",
-    "GroundTruth",
     "LostWriteOutcome",
     "NO_OP",
     "PREPARE",
-    "SKIP_WAL",
     "TPC_LAYOUT",
     "TpcParticipantNode",
-    "TpcTrojanClass",
     "WalRecord",
-    "all_trojan_classes",
-    "classify_message",
-    "coordinator_clients",
-    "is_coordinator_generable",
-    "is_participant_accepted",
     "prepare_message",
     "run_lost_write_demo",
-    "tpc_abort",
-    "tpc_commit",
-    "tpc_participant",
-    "tpc_prepare",
 ]

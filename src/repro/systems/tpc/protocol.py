@@ -13,7 +13,7 @@ kinds on one fixed-size layout::
   (``flags == FLAG_NONE``, ``op == NO_OP``).
 
 Two vulnerabilities are seeded in the participant
-(:func:`repro.systems.tpc.nodes.tpc_participant`):
+(``repro.systems.tpc.CANONICAL.server``):
 
 * **ack-without-WAL** — a malformed ``PREPARE`` with the durable flag
   clear is acked exactly like a well-formed one, but the participant

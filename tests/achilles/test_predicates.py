@@ -120,16 +120,11 @@ class TestPickleRoundTrip:
         from repro.achilles import Achilles, AchillesConfig
         from repro.systems import raft, tpc
 
-        if system == "raft":
-            config = AchillesConfig(layout=raft.RAFT_LAYOUT,
-                                    destination="follower")
-            clients = raft.peer_clients()
-        else:
-            config = AchillesConfig(layout=tpc.TPC_LAYOUT,
-                                    destination="participant")
-            clients = tpc.coordinator_clients()
+        variant = raft.CANONICAL if system == "raft" else tpc.CANONICAL
+        config = AchillesConfig(layout=variant.layout,
+                                destination=variant.destination)
         with Achilles(config) as achilles:
-            return achilles.extract_clients(clients)
+            return achilles.extract_clients(variant.clients)
 
     @pytest.mark.parametrize("system", ["raft", "tpc"])
     def test_predicate_set_round_trips(self, system):

@@ -10,13 +10,8 @@ contract of the underlying pipeline.
 import pytest
 
 from repro.__main__ import main
-from repro.bench.experiments import _scored_accuracy_run, run_corpus
-from repro.corpus import (
-    bound_ground_truth,
-    corpus_payload,
-    dump_payload,
-    generate_corpus,
-)
+from repro.bench.experiments import run_corpus, run_variant_accuracy
+from repro.corpus import corpus_payload, dump_payload, generate_corpus
 from repro.errors import ReproError
 
 
@@ -77,10 +72,7 @@ class TestCorpusRun:
         # of the same variant must reproduce the serial findings.
         result = small_corpus.results[1]  # the raft variant
         variant = result.variant
-        sharded = _scored_accuracy_run(
-            variant.layout, variant.destination, variant.clients,
-            variant.server, bound_ground_truth(variant),
-            len(variant.classes), shards=2)
+        sharded = run_variant_accuracy(variant, shards=2)
         serial_findings = [
             (f.server_path_id, f.decisions, f.witness, f.labels)
             for f in result.outcome.report.findings]

@@ -6,12 +6,13 @@ of the accept set, the two differ exactly on the seeded classes, and
 the whole construction is a pure function of the seed.
 """
 
+import hashlib
 import pickle
 import random
-from itertools import product
 
 import pytest
 
+from repro.achilles import Achilles, AchillesConfig
 from repro.corpus import (
     TEMPLATES,
     build_variant,
@@ -21,6 +22,7 @@ from repro.corpus import (
 )
 from repro.errors import ReproError
 from repro.messages.concrete import encode
+from repro.systems import broadcast, raft, tpc
 
 #: A handful of fixed seeds per template — enough draws to cover the
 #: parameter space corners (pad/no-pad, wide/narrow fields, every bug
@@ -137,6 +139,13 @@ class TestDeterminism:
         assert [v.token for v in first] == [v.token for v in second]
         assert [v.params for v in first] == [v.params for v in second]
 
+    def test_repeated_template_names_count_once(self):
+        # --templates raft,raft must not hunt and score each draw twice.
+        twice = generate_corpus(0, 4, ("raft", "raft"))
+        once = generate_corpus(0, 4, ("raft",))
+        assert [v.token for v in twice] == [v.token for v in once]
+        assert len({v.token for v in twice}) == 4
+
     def test_corpus_round_robins_the_templates(self):
         corpus = generate_corpus(corpus_seed=0, variants=6)
         assert [v.template for v in corpus] == \
@@ -160,6 +169,12 @@ class TestDeterminism:
             parse_variant_token("tpc")
         with pytest.raises(ReproError):
             parse_variant_token("tpc:notanumber")
+        # Unicode digits pass str.isdigit but are not seeds: "²" made
+        # int() raise, and "٣" silently ran seed 3.
+        with pytest.raises(ReproError):
+            parse_variant_token("raft:\u00b2")
+        with pytest.raises(ReproError):
+            parse_variant_token("raft:\u0663")
         with pytest.raises(ReproError):
             build_variant("paxos", 0)
         with pytest.raises(ReproError):
@@ -261,3 +276,68 @@ class TestLayoutPerturbation:
                         assert not variant.accepts(message)
                         assert not variant.generable(message)
                 break
+
+
+def _findings_digest(variant) -> str:
+    """sha256 over one ``decisions:witness`` line per serial finding."""
+    config = AchillesConfig(layout=variant.layout,
+                            destination=variant.destination)
+    with Achilles(config) as achilles:
+        predicates = achilles.extract_clients(variant.clients)
+        report = achilles.search(variant.server, predicates)
+    lines = ["".join("1" if taken else "0" for taken in f.decisions)
+             + ":" + f.witness.hex() for f in report.findings]
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
+
+
+class TestCanonicalPoint:
+    """Each hand-modelled system is its template at the canonical record.
+
+    The class strings are the scoring universe and the digests pin the
+    findings bytes of the hand-built programs the templates replaced.
+    """
+
+    FAMILIES = {
+        "raft": (raft.CANONICAL, raft.RAFT_LAYOUT, (
+            "stale-append(term=1, index=0)",
+            "stale-append(term=1, index=1)",
+            "stale-append(term=1, index=2)",
+            "stale-append(term=1, index=3)",
+            "stale-append(term=2, index=0)",
+            "stale-append(term=2, index=1)",
+            "stale-append(term=2, index=2)",
+            "stale-append(term=2, index=3)",
+            "vote-off-by-one(index=2)",
+        ), "08fb816af647bdd6"),
+        "tpc": (tpc.CANONICAL, tpc.TPC_LAYOUT, (
+            "prepare:skip-wal",
+            "prepare:empty-op",
+        ), "f673836e8cb8c02d"),
+        "broadcast": (broadcast.CANONICAL, broadcast.BROADCAST_LAYOUT, (
+            "send:forged-sender",
+            "ready:thin-quorum(cert=0x03)",
+            "ready:thin-quorum(cert=0x05)",
+            "ready:thin-quorum(cert=0x06)",
+            "ready:thin-quorum(cert=0x09)",
+            "ready:thin-quorum(cert=0x0a)",
+            "ready:thin-quorum(cert=0x0c)",
+        ), "e11ce70810608906"),
+    }
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_classes_are_the_literal_strings(self, family):
+        variant, _, classes, _ = self.FAMILIES[family]
+        assert variant.template == family
+        assert variant.seed is None
+        assert variant.classes == classes
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_layout_is_the_protocol_layout(self, family):
+        variant, layout, _, _ = self.FAMILIES[family]
+        assert [(f.name, f.size) for f in variant.layout.fields] == \
+            [(f.name, f.size) for f in layout.fields]
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_serial_findings_digest_is_pinned(self, family):
+        variant, _, _, digest = self.FAMILIES[family]
+        assert _findings_digest(variant) == digest

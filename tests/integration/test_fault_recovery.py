@@ -106,27 +106,21 @@ def _run_fsp(shards, transport="local", on_worker_loss="fail"):
         return achilles.search(fsp.fsp_server, predicates)
 
 
-def _run_raft(shards, transport="local", on_worker_loss="fail"):
-    config = AchillesConfig(layout=raft.RAFT_LAYOUT, destination="follower",
-                            shards=shards, transport=transport,
-                            on_worker_loss=on_worker_loss)
-    with Achilles(config) as achilles:
-        predicates = achilles.extract_clients(raft.peer_clients())
-        return achilles.search(raft.raft_follower, predicates)
+def _template_runner(variant):
+    """A runner hunting a template system's canonical point."""
+    def run(shards, transport="local", on_worker_loss="fail"):
+        config = AchillesConfig(layout=variant.layout,
+                                destination=variant.destination,
+                                shards=shards, transport=transport,
+                                on_worker_loss=on_worker_loss)
+        with Achilles(config) as achilles:
+            predicates = achilles.extract_clients(variant.clients)
+            return achilles.search(variant.server, predicates)
+    return run
 
 
-def _run_broadcast(shards, transport="local", on_worker_loss="fail"):
-    config = AchillesConfig(layout=broadcast.BROADCAST_LAYOUT,
-                            destination="node", shards=shards,
-                            transport=transport,
-                            on_worker_loss=on_worker_loss)
-    with Achilles(config) as achilles:
-        predicates = achilles.extract_clients(broadcast.peer_clients())
-        return achilles.search(broadcast.broadcast_node, predicates)
-
-
-_RUNNERS = {"broadcast": _run_broadcast, "fsp": _run_fsp,
-            "raft": _run_raft}
+_RUNNERS = {"broadcast": _template_runner(broadcast.CANONICAL),
+            "fsp": _run_fsp, "raft": _template_runner(raft.CANONICAL)}
 
 #: Systems whose path trees outlive the seed phase at shards=2, so the
 #: kill plan is guaranteed a worker to hit. The broadcast tree is small

@@ -91,9 +91,10 @@ _SYSTEMS = {
             dict(itertools.islice(fsp.COMMANDS.items(), 4))),
         server=fsp.fsp_server),
     "raft": dict(
-        config=dict(layout=raft.RAFT_LAYOUT, destination="follower"),
-        clients=raft.peer_clients,
-        server=raft.raft_follower),
+        config=dict(layout=raft.CANONICAL.layout,
+                    destination=raft.CANONICAL.destination),
+        clients=lambda: raft.CANONICAL.clients,
+        server=raft.CANONICAL.server),
 }
 
 

@@ -1,11 +1,12 @@
 """Shard-parity: exploration shard count must never change what Achilles finds.
 
-The FSP, PBFT, Raft and two-phase-commit end-to-end analyses must
-produce *identical* findings (same order, same path ids, same witnesses,
-same live-predicate sets) at shards = 1, 2 and 4 — shards=1 being the
-plain in-process walk, so this also pins the sharded pipeline against
-the classic serial engine. The canonical ordering is the same pinned
-prefix order for every system.
+The FSP and PBFT end-to-end analyses, and every protocol-family template
+(Raft, two-phase commit, Bracha broadcast) at its canonical point and at
+one seeded corpus draw, must produce *identical* findings (same order,
+same path ids, same witnesses, same live-predicate sets) at shards = 1,
+2 and 4 — shards=1 being the plain in-process walk, so this also pins
+the sharded pipeline against the classic serial engine. The canonical
+ordering is the same pinned prefix order for every system.
 """
 
 import itertools
@@ -14,6 +15,7 @@ import pytest
 
 from repro.achilles import Achilles, AchillesConfig
 from repro.bench.experiments import FSP_SESSION_MASK
+from repro.corpus import TEMPLATES, build_variant, variant_seed
 from repro.systems import broadcast, fsp, raft, tpc
 from repro.systems.pbft import REQUEST_LAYOUT, pbft_client, pbft_replica
 
@@ -48,31 +50,28 @@ def _run_pbft(shards: int):
     return report
 
 
-def _run_raft(shards: int):
-    config = AchillesConfig(layout=raft.RAFT_LAYOUT, destination="follower",
-                            shards=shards)
+def _run_template(variant, shards: int):
+    config = AchillesConfig(layout=variant.layout,
+                            destination=variant.destination, shards=shards)
     with Achilles(config) as achilles:
-        predicates = achilles.extract_clients(raft.peer_clients())
-        report = achilles.search(raft.raft_follower, predicates)
+        predicates = achilles.extract_clients(variant.clients)
+        report = achilles.search(variant.server, predicates)
     return report
 
 
-def _run_tpc(shards: int):
-    config = AchillesConfig(layout=tpc.TPC_LAYOUT, destination="participant",
-                            shards=shards)
-    with Achilles(config) as achilles:
-        predicates = achilles.extract_clients(tpc.coordinator_clients())
-        report = achilles.search(tpc.tpc_participant, predicates)
-    return report
-
-
-def _run_broadcast(shards: int):
-    config = AchillesConfig(layout=broadcast.BROADCAST_LAYOUT,
-                            destination="node", shards=shards)
-    with Achilles(config) as achilles:
-        predicates = achilles.extract_clients(broadcast.peer_clients())
-        report = achilles.search(broadcast.broadcast_node, predicates)
-    return report
+#: (id, system, findings expected): each canonical point finds one
+#: witness per seeded class — Raft 8 stale appends + the off-by-one
+#: vote, 2PC ack-without-wal + empty-op prepare, Bracha forged sender +
+#: 6 thin certificates — and so does each template's first corpus draw.
+TEMPLATE_SYSTEMS = [
+    ("raft-canonical", raft.CANONICAL, 9),
+    ("tpc-canonical", tpc.CANONICAL, 2),
+    ("broadcast-canonical", broadcast.CANONICAL, 7),
+    *((f"{template}-seeded", variant, len(variant.classes))
+      for template in TEMPLATES
+      for variant in [build_variant(template,
+                                    variant_seed(0, template, 0))]),
+]
 
 
 @pytest.fixture(scope="module")
@@ -107,98 +106,43 @@ class TestFspShardParity:
             assert fsp_runs[shards].shards == shards
 
 
-@pytest.fixture(scope="module")
-def raft_runs():
-    return {shards: _run_raft(shards) for shards in SHARD_COUNTS}
+@pytest.fixture(scope="module", params=TEMPLATE_SYSTEMS,
+                ids=[name for name, _, _ in TEMPLATE_SYSTEMS])
+def template_runs(request):
+    _, variant, expected = request.param
+    runs = {shards: _run_template(variant, shards)
+            for shards in SHARD_COUNTS}
+    return variant, expected, runs
 
 
-@pytest.fixture(scope="module")
-def tpc_runs():
-    return {shards: _run_tpc(shards) for shards in SHARD_COUNTS}
-
-
-class TestRaftShardParity:
-    def test_findings_identical_at_every_shard_count(self, raft_runs):
-        baseline = _finding_signature(raft_runs[1])
-        assert len(baseline) == 9  # 8 stale appends + the off-by-one vote
+class TestTemplateShardParity:
+    def test_findings_identical_at_every_shard_count(self, template_runs):
+        _, expected, runs = template_runs
+        baseline = _finding_signature(runs[1])
+        assert len(baseline) == expected
         for shards in SHARD_COUNTS[1:]:
-            assert _finding_signature(raft_runs[shards]) == baseline, (
+            assert _finding_signature(runs[shards]) == baseline, (
                 f"shards={shards} diverged from serial")
 
-    def test_exploration_counters_identical(self, raft_runs):
-        baseline = raft_runs[1]
+    def test_exploration_counters_identical(self, template_runs):
+        _, _, runs = template_runs
+        baseline = runs[1]
         for shards in SHARD_COUNTS[1:]:
-            report = raft_runs[shards]
+            report = runs[shards]
             assert report.server_paths_explored == \
                 baseline.server_paths_explored
             assert report.server_paths_pruned == baseline.server_paths_pruned
 
-    def test_witnesses_stay_trojan(self, raft_runs):
+    def test_witnesses_stay_trojan(self, template_runs):
+        variant, _, runs = template_runs
         for shards in SHARD_COUNTS:
-            for finding in raft_runs[shards].findings:
-                assert raft.classify_message(finding.witness) is not None
+            for finding in runs[shards].findings:
+                assert variant.classify(finding.witness) is not None
 
-    def test_report_records_shard_count(self, raft_runs):
+    def test_report_records_shard_count(self, template_runs):
+        _, _, runs = template_runs
         for shards in SHARD_COUNTS:
-            assert raft_runs[shards].shards == shards
-
-
-class TestTpcShardParity:
-    def test_findings_identical_at_every_shard_count(self, tpc_runs):
-        baseline = _finding_signature(tpc_runs[1])
-        assert len(baseline) == 2  # ack-without-wal + empty-op prepare
-        for shards in SHARD_COUNTS[1:]:
-            assert _finding_signature(tpc_runs[shards]) == baseline, (
-                f"shards={shards} diverged from serial")
-
-    def test_witnesses_stay_trojan(self, tpc_runs):
-        for shards in SHARD_COUNTS:
-            for finding in tpc_runs[shards].findings:
-                assert tpc.classify_message(finding.witness) is not None
-
-    def test_exploration_counters_identical(self, tpc_runs):
-        baseline = tpc_runs[1]
-        for shards in SHARD_COUNTS[1:]:
-            report = tpc_runs[shards]
-            assert report.server_paths_explored == \
-                baseline.server_paths_explored
-            assert report.server_paths_pruned == baseline.server_paths_pruned
-
-    def test_report_records_shard_count(self, tpc_runs):
-        for shards in SHARD_COUNTS:
-            assert tpc_runs[shards].shards == shards
-
-
-@pytest.fixture(scope="module")
-def broadcast_runs():
-    return {shards: _run_broadcast(shards) for shards in SHARD_COUNTS}
-
-
-class TestBroadcastShardParity:
-    def test_findings_identical_at_every_shard_count(self, broadcast_runs):
-        baseline = _finding_signature(broadcast_runs[1])
-        assert len(baseline) == 7  # forged sender + 6 thin certificates
-        for shards in SHARD_COUNTS[1:]:
-            assert _finding_signature(broadcast_runs[shards]) == baseline, (
-                f"shards={shards} diverged from serial")
-
-    def test_exploration_counters_identical(self, broadcast_runs):
-        baseline = broadcast_runs[1]
-        for shards in SHARD_COUNTS[1:]:
-            report = broadcast_runs[shards]
-            assert report.server_paths_explored == \
-                baseline.server_paths_explored
-            assert report.server_paths_pruned == baseline.server_paths_pruned
-
-    def test_witnesses_stay_trojan(self, broadcast_runs):
-        for shards in SHARD_COUNTS:
-            for finding in broadcast_runs[shards].findings:
-                assert broadcast.classify_message(finding.witness) \
-                    is not None
-
-    def test_report_records_shard_count(self, broadcast_runs):
-        for shards in SHARD_COUNTS:
-            assert broadcast_runs[shards].shards == shards
+            assert runs[shards].shards == shards
 
 
 class TestPbftShardParity:

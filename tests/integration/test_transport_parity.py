@@ -130,33 +130,22 @@ def _run_pbft(shards, hosts=None):
         return achilles.search(pbft_replica, predicates)
 
 
-def _run_raft(shards, hosts=None):
-    config = AchillesConfig(layout=raft.RAFT_LAYOUT, destination="follower",
-                            **_transport_kwargs(shards, hosts))
-    with Achilles(config) as achilles:
-        predicates = achilles.extract_clients(raft.peer_clients())
-        return achilles.search(raft.raft_follower, predicates)
+def _template_runner(variant):
+    """A runner hunting a template system's canonical point."""
+    def run(shards, hosts=None):
+        config = AchillesConfig(layout=variant.layout,
+                                destination=variant.destination,
+                                **_transport_kwargs(shards, hosts))
+        with Achilles(config) as achilles:
+            predicates = achilles.extract_clients(variant.clients)
+            return achilles.search(variant.server, predicates)
+    return run
 
 
-def _run_tpc(shards, hosts=None):
-    config = AchillesConfig(layout=tpc.TPC_LAYOUT, destination="participant",
-                            **_transport_kwargs(shards, hosts))
-    with Achilles(config) as achilles:
-        predicates = achilles.extract_clients(tpc.coordinator_clients())
-        return achilles.search(tpc.tpc_participant, predicates)
-
-
-def _run_broadcast(shards, hosts=None):
-    config = AchillesConfig(layout=broadcast.BROADCAST_LAYOUT,
-                            destination="node",
-                            **_transport_kwargs(shards, hosts))
-    with Achilles(config) as achilles:
-        predicates = achilles.extract_clients(broadcast.peer_clients())
-        return achilles.search(broadcast.broadcast_node, predicates)
-
-
-_RUNNERS = {"broadcast": _run_broadcast, "fsp": _run_fsp,
-            "pbft": _run_pbft, "raft": _run_raft, "tpc": _run_tpc}
+_RUNNERS = {"broadcast": _template_runner(broadcast.CANONICAL),
+            "fsp": _run_fsp, "pbft": _run_pbft,
+            "raft": _template_runner(raft.CANONICAL),
+            "tpc": _template_runner(tpc.CANONICAL)}
 
 
 @pytest.fixture(scope="module")

@@ -2,25 +2,20 @@
 
 from itertools import product
 
+from repro.corpus.templates import FORGED_SENDER, THIN_QUORUM
 from repro.net.network import Network
 from repro.systems.broadcast import (
     BROADCASTER,
     BROADCAST_VALUE,
     BroadcastNode,
-    FORGED_SENDER,
+    CANONICAL,
     FULL_CERTS,
     MSG_ECHO,
     MSG_READY,
     MSG_SEND,
     NODE_IDS,
-    NO_CERT,
     THIN_CERTS,
-    THIN_QUORUM,
-    all_trojan_classes,
     broadcast_message,
-    classify_message,
-    is_node_accepted,
-    is_peer_generable,
     run_forged_delivery_demo,
 )
 
@@ -37,52 +32,51 @@ def _message_space():
 class TestGroundTruthOracles:
     def test_classification_matches_predicates(self):
         for message in _message_space():
-            trojan = classify_message(message)
-            expected = (is_node_accepted(message)
-                        and not is_peer_generable(message))
+            trojan = CANONICAL.classify(message)
+            expected = (CANONICAL.accepts(message)
+                        and not CANONICAL.generable(message))
             assert (trojan is not None) == expected, message.hex()
 
     def test_brute_force_covers_exactly_the_seeded_classes(self):
-        found = {classify_message(m) for m in _message_space()}
+        found = {CANONICAL.classify(m) for m in _message_space()}
         found.discard(None)
-        assert found == set(all_trojan_classes())
-        assert len(all_trojan_classes()) == 7
+        assert found == set(CANONICAL.classes)
+        assert len(CANONICAL.classes) == 7
 
     def test_generable_is_a_subset_of_accepted(self):
         for message in _message_space():
-            if is_peer_generable(message):
-                assert is_node_accepted(message), message.hex()
+            if CANONICAL.generable(message):
+                assert CANONICAL.accepts(message), message.hex()
 
     def test_forged_send_is_one_class(self):
-        forged = [classify_message(broadcast_message(MSG_SEND, sender,
-                                                     BROADCAST_VALUE))
+        forged = [CANONICAL.classify(broadcast_message(MSG_SEND, sender,
+                                                       BROADCAST_VALUE))
                   for sender in NODE_IDS if sender != BROADCASTER]
-        assert all(cls is not None and cls.kind == FORGED_SENDER
-                   for cls in forged)
+        assert all(cls == FORGED_SENDER for cls in forged)
         assert len(set(forged)) == 1
 
     def test_thin_quorum_is_one_class_per_certificate(self):
-        classes = {classify_message(
+        classes = {CANONICAL.classify(
             broadcast_message(MSG_READY, BROADCASTER, BROADCAST_VALUE,
                               cert))
             for cert in THIN_CERTS}
-        assert all(cls is not None and cls.kind == THIN_QUORUM
+        assert all(cls is not None and THIN_QUORUM in cls
                    for cls in classes)
         assert len(classes) == len(THIN_CERTS) == 6
 
     def test_full_certificate_ready_is_benign(self):
         for cert in FULL_CERTS:
             ready = broadcast_message(MSG_READY, 1, BROADCAST_VALUE, cert)
-            assert is_node_accepted(ready)
-            assert is_peer_generable(ready)
-            assert classify_message(ready) is None
+            assert CANONICAL.accepts(ready)
+            assert CANONICAL.generable(ready)
+            assert CANONICAL.classify(ready) is None
 
     def test_equivocating_value_is_rejected_everywhere(self):
         for kind in (MSG_SEND, MSG_ECHO, MSG_READY):
             message = broadcast_message(kind, BROADCASTER, 0x13,
                                         FULL_CERTS[0])
-            assert not is_node_accepted(message)
-            assert not is_peer_generable(message)
+            assert not CANONICAL.accepts(message)
+            assert not CANONICAL.generable(message)
 
 
 class TestConcreteNode:
@@ -92,7 +86,7 @@ class TestConcreteNode:
         for message in _message_space():
             node = BroadcastNode(recorded=BROADCAST_VALUE)
             node.handle("peer", message, Network())
-            assert (node.accepted == 1) == is_node_accepted(message), \
+            assert (node.accepted == 1) == CANONICAL.accepts(message), \
                 message.hex()
 
     def test_strict_node_accepts_only_generable_messages(self):
@@ -101,7 +95,7 @@ class TestConcreteNode:
         for message in _message_space():
             node = BroadcastNode(strict=True, recorded=BROADCAST_VALUE)
             node.handle("peer", message, Network())
-            assert (node.accepted == 1) == is_peer_generable(message), \
+            assert (node.accepted == 1) == CANONICAL.generable(message), \
                 message.hex()
 
     def test_delivery_needs_distinct_ready_senders(self):

@@ -2,21 +2,17 @@
 
 from itertools import product
 
-from repro.messages.concrete import encode
+from repro.corpus.templates import STALE_APPEND, VOTE_OFF_BY_ONE
+from repro.messages.concrete import decode_ints, encode
 from repro.systems.raft import (
+    CANONICAL,
     COMMIT_INDEX,
     CURRENT_TERM,
     LAST_INDEX,
     RAFT_LAYOUT,
     RaftFollowerNode,
-    STALE_APPEND,
     TERM_LEADERS,
-    VOTE_OFF_BY_ONE,
-    all_trojan_classes,
     append_message,
-    classify_message,
-    is_follower_accepted,
-    is_peer_generable,
     run_truncation_attack,
 )
 from repro.net.network import Network, Node
@@ -43,46 +39,48 @@ def _small_message_space():
 class TestGroundTruthOracles:
     def test_generable_implies_not_trojan(self):
         for message in _small_message_space():
-            if is_peer_generable(message):
-                assert classify_message(message) is None
+            if CANONICAL.generable(message):
+                assert CANONICAL.classify(message) is None
 
     def test_classification_matches_predicates(self):
         for message in _small_message_space():
-            trojan = classify_message(message)
-            expected = (is_follower_accepted(message)
-                        and not is_peer_generable(message))
+            trojan = CANONICAL.classify(message)
+            expected = (CANONICAL.accepts(message)
+                        and not CANONICAL.generable(message))
             assert (trojan is not None) == expected, message.hex()
 
     def test_brute_force_covers_exactly_the_seeded_classes(self):
-        found = {classify_message(m) for m in _small_message_space()}
+        found = {CANONICAL.classify(m) for m in _small_message_space()}
         found.discard(None)
-        assert found == set(all_trojan_classes())
+        assert found == set(CANONICAL.classes)
 
     def test_nine_classes(self):
-        classes = all_trojan_classes()
+        classes = CANONICAL.classes
         assert len(classes) == 9
-        assert sum(1 for c in classes if c.kind == STALE_APPEND) == 8
-        assert sum(1 for c in classes if c.kind == VOTE_OFF_BY_ONE) == 1
+        assert sum(1 for c in classes if c.startswith(STALE_APPEND)) == 8
+        assert sum(1 for c in classes if c.startswith(VOTE_OFF_BY_ONE)) == 1
 
     def test_committed_truncation_marking(self):
-        truncating = [c for c in all_trojan_classes()
-                      if c.truncates_committed]
-        assert all(c.kind == STALE_APPEND and c.index < COMMIT_INDEX
-                   for c in truncating)
+        # A stale append truncates committed entries when it probes
+        # below the commit point: one class per stale term and index.
+        truncating = {CANONICAL.classify(m) for m in _small_message_space()
+                      if CANONICAL.classify(m) is not None
+                      and decode_ints(RAFT_LAYOUT, m)["idx"] < COMMIT_INDEX}
+        assert all(c.startswith(STALE_APPEND) for c in truncating)
         assert len(truncating) == 2 * COMMIT_INDEX
 
     def test_stale_append_trojan_wire_shape(self):
         trojan = _message(0xA1, 1, TERM_LEADERS[1], 0, 0, 0x99)
-        assert is_follower_accepted(trojan)
-        assert not is_peer_generable(trojan)
-        assert classify_message(trojan).kind == STALE_APPEND
+        assert CANONICAL.accepts(trojan)
+        assert not CANONICAL.generable(trojan)
+        assert CANONICAL.classify(trojan).startswith(STALE_APPEND)
 
     def test_current_term_append_is_benign(self):
         benign = _message(0xA1, CURRENT_TERM, TERM_LEADERS[CURRENT_TERM],
                           LAST_INDEX, CURRENT_TERM, 0x42)
-        assert is_follower_accepted(benign)
-        assert is_peer_generable(benign)
-        assert classify_message(benign) is None
+        assert CANONICAL.accepts(benign)
+        assert CANONICAL.generable(benign)
+        assert CANONICAL.classify(benign) is None
 
 
 class _Sink(Node):

@@ -2,22 +2,18 @@
 
 from itertools import product
 
+from repro.corpus.templates import EMPTY_OP, SKIP_WAL
 from repro.messages.concrete import encode
 from repro.net.network import Network, Node
 from repro.systems.tpc import (
     ABORT,
+    CANONICAL,
     COMMIT,
-    EMPTY_OP,
     FLAG_DURABLE,
     FLAG_NONE,
     PREPARE,
-    SKIP_WAL,
     TPC_LAYOUT,
     TpcParticipantNode,
-    all_trojan_classes,
-    classify_message,
-    is_coordinator_generable,
-    is_participant_accepted,
     prepare_message,
     run_lost_write_demo,
 )
@@ -39,36 +35,36 @@ def _small_message_space():
 class TestGroundTruthOracles:
     def test_classification_matches_predicates(self):
         for message in _small_message_space():
-            trojan = classify_message(message)
-            expected = (is_participant_accepted(message)
-                        and not is_coordinator_generable(message))
+            trojan = CANONICAL.classify(message)
+            expected = (CANONICAL.accepts(message)
+                        and not CANONICAL.generable(message))
             assert (trojan is not None) == expected, message.hex()
 
     def test_brute_force_covers_exactly_the_seeded_classes(self):
-        found = {classify_message(m) for m in _small_message_space()}
+        found = {CANONICAL.classify(m) for m in _small_message_space()}
         found.discard(None)
-        assert found == set(all_trojan_classes())
-        assert len(all_trojan_classes()) == 2
+        assert found == set(CANONICAL.classes)
+        assert len(CANONICAL.classes) == 2
 
     def test_skip_wal_takes_priority_over_empty_op(self):
         both = _message(PREPARE, 1, FLAG_NONE, 0)  # flag clear AND empty op
-        assert classify_message(both).kind == SKIP_WAL
+        assert CANONICAL.classify(both) == SKIP_WAL
 
     def test_empty_op_requires_durable_flag(self):
         empty = _message(PREPARE, 1, FLAG_DURABLE, 0)
-        assert classify_message(empty).kind == EMPTY_OP
+        assert CANONICAL.classify(empty) == EMPTY_OP
 
     def test_well_formed_prepare_is_benign(self):
         benign = _message(PREPARE, 1, FLAG_DURABLE, 0x77)
-        assert is_participant_accepted(benign)
-        assert is_coordinator_generable(benign)
-        assert classify_message(benign) is None
+        assert CANONICAL.accepts(benign)
+        assert CANONICAL.generable(benign)
+        assert CANONICAL.classify(benign) is None
 
     def test_close_messages_are_benign(self):
         for kind in (COMMIT, ABORT):
             close = _message(kind, 1, FLAG_NONE, 0)
-            assert is_participant_accepted(close)
-            assert is_coordinator_generable(close)
+            assert CANONICAL.accepts(close)
+            assert CANONICAL.generable(close)
 
 
 class _Coordinator(Node):

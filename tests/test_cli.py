@@ -203,6 +203,15 @@ class TestCorpusSubcommand:
         assert main(["corpus", "run", "--variant", "tpc"]) == 2
         assert "TEMPLATE:SEED" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("token", ["raft:\u00b2", "raft:\u0663"])
+    def test_non_ascii_digit_seed_exits_two(self, capsys, token):
+        # str.isdigit admits superscripts and Arabic-Indic digits; the
+        # token must be refused as one error line, not crash or run a
+        # different seed.
+        assert main(["corpus", "run", "--variant", token]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("corpus error: bad variant token")
+
     def test_unknown_template_exits_two(self, capsys):
         assert main(["corpus", "run", "--templates", "paxos"]) == 2
         assert "paxos" in capsys.readouterr().err
